@@ -141,10 +141,6 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _fmt_set(values) -> str:
-    return "{" + ",".join(str(v) for v in values) + "}"
-
-
 def _cmd_realize(args: argparse.Namespace) -> int:
     score_set = _parse_score_set(args.set)
     realization = realize(score_set)
@@ -156,8 +152,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     else:
         family = classify(score_set)
         lines = [
-            f"score set {_fmt_set(score_set)}",
-            f"family {type(family).__name__}",
+            f"score set {score_set}",
+            f"family {family.name}",
             f"m = {g.m}, n = {g.n}",
             "U blocks: " + " ".join(_fmt_block(b) for b in realization.u_blocks),
             "V blocks: " + " ".join(_fmt_block(b) for b in realization.v_blocks),
@@ -178,21 +174,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
         with open(args.graph, "r", encoding="utf-8") as handle:
             text = handle.read()
     g = BipartiteOrientedGraph.from_json(text)
-    pair = g.score_sequences()
-    score_set = g.score_set()
+    u_scores, v_scores = g.scores()
+    a, b = sorted(u_scores), sorted(v_scores)
+    score_set = ScoreSet.from_values(u_scores + v_scores)
     if args.format == "json":
-        doc = {
-            "m": g.m,
-            "n": g.n,
-            "a": list(pair.a),
-            "b": list(pair.b),
-            "set": list(score_set.values),
-        }
+        doc = {"m": g.m, "n": g.n, "a": a, "b": b, "set": list(score_set.values)}
         print(json.dumps(doc, separators=(",", ":")))
     else:
-        print(f"a = [{','.join(map(str, pair.a))}]")
-        print(f"b = [{','.join(map(str, pair.b))}]")
-        print(f"score set {_fmt_set(score_set)}")
+        print(f"a = [{','.join(map(str, a))}]")
+        print(f"b = [{','.join(map(str, b))}]")
+        print(f"score set {score_set}")
     return 0
 
 
@@ -278,7 +269,7 @@ def _cmd_conjecture_scan(args: argparse.Namespace) -> int:
                 else:
                     status = f"oracle-witnessed (m={witness.m}, n={witness.n})"
                     tallies["oracle-witnessed"] += 1
-            print(f"{_fmt_set(values)}: {status}")
+            print(f"{score_set}: {status}")
     print(
         f"total: {tallies['constructed']} constructed, "
         f"{tallies['oracle-witnessed']} oracle-witnessed, "

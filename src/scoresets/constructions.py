@@ -1,10 +1,14 @@
 """Builders that realize prescribed score sets.
 
-Every builder lays each part out as a sequence of labeled blocks, wires
-complete block-against-block dominations (plus two partial-domination
-cases where only the lowest-indexed slice of a block is dominated), and
-returns a Realization: the graph, the block layout with expected scores,
-and the requested score set.
+Every construction is a block layout.  A builder lists each part as a
+sequence of ``(label, size, score)`` blocks and names the dominated
+rectangles: ``{(u_label, v_label): state}`` means every vertex of the U
+block and every vertex of the V block are joined by an arc in that
+direction.  Partial dominations are separate blocks (``X1_dominated`` /
+``X1_rest``, ``Y0_dominated`` / ``Y0_rest``) placed first in their part,
+so only the lowest-indexed slice is dominated.  ``_assemble`` tiles the
+blocks, fills the rectangles and returns a Realization: the graph, the
+block layout with expected scores, and the requested score set.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -15,11 +19,20 @@ refuses such inputs instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import dataclass
 
 from .criteria import check_bipartite_pair
-from .graph_core import ArcState, BipartiteOrientedGraph, Block, ScoreSet
+from .graph_core import ArcState, BipartiteOrientedGraph, Block, ScoreSequencePair, ScoreSet
+
+U_TO_V, V_TO_U = ArcState.U_TO_V, ArcState.V_TO_U
+
+# requested values, U blocks, V blocks, dominated rectangles
+Layout = tuple[
+    tuple[int, ...],
+    list[tuple[str, int, int]],
+    list[tuple[str, int, int]],
+    dict[tuple[str, str], ArcState],
+]
 
 
 class UnsupportedScoreSetError(ValueError):
@@ -31,63 +44,11 @@ class RealizationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Singleton:
-    a: int
+class Family:
+    """A construction family name and the arguments of its builder."""
 
-    def __post_init__(self) -> None:
-        if self.a < 1:
-            raise ValueError("singleton value must be positive")
-
-
-@dataclass(frozen=True)
-class Doubleton:
-    a1: int
-    a2: int
-
-    def __post_init__(self) -> None:
-        if self.a1 < 1 or self.a1 >= self.a2:
-            raise ValueError("need 1 <= a1 < a2")
-
-
-@dataclass(frozen=True)
-class Triple:
-    a1: int
-    a2: int
-    a3: int
-
-    def __post_init__(self) -> None:
-        if self.a1 < 1 or not self.a1 < self.a2 < self.a3:
-            raise ValueError("need 1 <= a1 < a2 < a3")
-
-
-@dataclass(frozen=True)
-class Geometric:
-    a: int
-    d: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.d < 2 or self.n < 0:
-            raise ValueError("need a >= 1, d >= 2, n >= 0")
-
-
-@dataclass(frozen=True)
-class Arithmetic:
-    a: int
-    d: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.d < 1 or self.n < 0:
-            raise ValueError("need a >= 1, d >= 1, n >= 0")
-
-
-@dataclass(frozen=True)
-class Unsupported:
-    values: tuple[int, ...]
-
-
-Family = Union[Singleton, Doubleton, Triple, Geometric, Arithmetic, Unsupported]
+    name: str
+    params: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -101,10 +62,10 @@ class Realization:
 
     def verify(self) -> None:
         """Recompute every promise; raise RealizationError on mismatch."""
-        g = self.graph
-        for part, blocks, count, score_of in (
-            ("U", self.u_blocks, g.m, g.score_u),
-            ("V", self.v_blocks, g.n, g.score_v),
+        u_scores, v_scores = self.graph.scores()
+        for part, blocks, scores in (
+            ("U", self.u_blocks, u_scores),
+            ("V", self.v_blocks, v_scores),
         ):
             pos = 0
             for blk in blocks:
@@ -116,18 +77,22 @@ class Realization:
                 pos = blk.stop
                 if blk.score is None:
                     raise RealizationError(f"block {blk.label} has no expected score")
-                for i in blk.indices():
-                    got = score_of(i)
+                for i, got in enumerate(scores[blk.start : blk.stop], blk.start):
                     if got != blk.score:
                         raise RealizationError(
                             f"{part} vertex {i} in block {blk.label} scores {got}, "
                             f"expected {blk.score}"
                         )
-            if pos != count:
-                raise RealizationError(f"{part} blocks cover [0, {pos}), part has {count}")
-        got_set = g.score_set()
+            if pos != len(scores):
+                raise RealizationError(f"{part} blocks cover [0, {pos}), part has {len(scores)}")
+        got_set = ScoreSet.from_values(u_scores + v_scores)
         if got_set != self.requested:
             raise RealizationError(f"score set is {got_set}, requested {self.requested}")
+        verdict = check_bipartite_pair(ScoreSequencePair(sorted(u_scores), sorted(v_scores)))
+        if not verdict.valid:
+            raise RealizationError(
+                f"constructed graph fails the sequence criterion at {verdict.witness}"
+            )
 
     def to_json(self) -> str:
         return self.graph.to_json(u_blocks=self.u_blocks, v_blocks=self.v_blocks)
@@ -136,27 +101,31 @@ class Realization:
         return self.graph.to_dot(u_blocks=self.u_blocks, v_blocks=self.v_blocks)
 
 
-class _PartLayout:
-    """Accumulates labeled blocks along one part."""
-
-    def __init__(self) -> None:
-        self._blocks: list[Block] = []
-        self.size = 0
-
-    def add(self, label: str, size: int, score: int) -> range:
+def _tile(part: list[tuple[str, int, int]]) -> tuple[Block, ...]:
+    blocks = []
+    pos = 0
+    for label, size, score in part:
         if size < 0:
             raise AssertionError(f"block {label} would have negative size {size}")
-        block = Block(label, self.size, self.size + size, score)
-        self._blocks.append(block)
-        self.size += size
-        return block.indices()
-
-    def blocks(self) -> tuple[Block, ...]:
-        return tuple(self._blocks)
+        blocks.append(Block(label, pos, pos + size, score))
+        pos += size
+    return tuple(blocks)
 
 
-def build_singleton(a: int) -> Realization:
-    """Realize {a} on parts of size a each.
+def _assemble(layout: Layout) -> Realization:
+    """Tile both parts, fill every dominated rectangle, wrap the result."""
+    values, u, v, rects = layout
+    u_blocks, v_blocks = _tile(u), _tile(v)
+    g = BipartiteOrientedGraph(u_blocks[-1].stop, v_blocks[-1].stop)
+    u_at = {b.label: b.indices() for b in u_blocks}
+    v_at = {b.label: b.indices() for b in v_blocks}
+    for (x, y), state in rects.items():
+        g.set_arcs(u_at[x], v_at[y], state)
+    return Realization(g, u_blocks, v_blocks, ScoreSet(values))
+
+
+def _singleton(a: int) -> Layout:
+    """{a} on parts of size a each.
 
     Both parts split into two blocks of size floor(a/2); each X block
     beats its matching Y block and loses to the other one, so every
@@ -165,24 +134,14 @@ def build_singleton(a: int) -> Realization:
     if a < 1:
         raise ValueError("singleton score must be positive; {0} is not realizable")
     half, odd = divmod(a, 2)
-    uu, vv = _PartLayout(), _PartLayout()
-    x1 = uu.add("X1", half, a)
-    x2 = uu.add("X2", half, a)
-    y1 = vv.add("Y1", half, a)
-    y2 = vv.add("Y2", half, a)
-    if odd:
-        uu.add("x", 1, a)
-        vv.add("y", 1, a)
-    g = BipartiteOrientedGraph(uu.size, vv.size)
-    g.set_arcs(x1, y1, ArcState.U_TO_V)
-    g.set_arcs(x2, y2, ArcState.U_TO_V)
-    g.set_arcs(x2, y1, ArcState.V_TO_U)
-    g.set_arcs(x1, y2, ArcState.V_TO_U)
-    return Realization(g, uu.blocks(), vv.blocks(), ScoreSet((a,)))
+    u = [("X1", half, a), ("X2", half, a)] + [("x", 1, a)] * odd
+    v = [("Y1", half, a), ("Y2", half, a)] + [("y", 1, a)] * odd
+    rects = {("X1", "Y1"): U_TO_V, ("X2", "Y2"): U_TO_V, ("X2", "Y1"): V_TO_U, ("X1", "Y2"): V_TO_U}
+    return (a,), u, v, rects
 
 
-def build_doubleton(a1: int, a2: int) -> Realization:
-    """Realize {a1, a2}: the {a1} graph plus a2 - a1 isolated U-vertices.
+def _doubleton(a1: int, a2: int) -> Layout:
+    """{a1, a2}: the {a1} layout plus a2 - a1 isolated U-vertices.
 
     The extra vertices leave U-scores at a1 and lift every V-score to a2.
     """
@@ -190,15 +149,13 @@ def build_doubleton(a1: int, a2: int) -> Realization:
         raise ValueError("doubleton values must be positive")
     if a2 <= a1:
         raise ValueError(f"need a1 < a2, got {a1} >= {a2}")
-    base = build_singleton(a1)
-    g = base.graph.extend_u(a2 - a1)
-    u_blocks = base.u_blocks + (Block("X", a1, a2, a1),)
-    v_blocks = tuple(replace(b, score=a2) for b in base.v_blocks)
-    return Realization(g, u_blocks, v_blocks, ScoreSet((a1, a2)))
+    _, u, v, rects = _singleton(a1)
+    u.append(("X", a2 - a1, a1))
+    return (a1, a2), u, [(label, size, a2) for label, size, _ in v], rects
 
 
-def build_triple(a1: int, a2: int, a3: int) -> Realization:
-    """Realize {a1, a2, a3} with a1 < a2 < a3, branching on a3 > 2*a2.
+def _triple(a1: int, a2: int, a3: int) -> Layout:
+    """{a1, a2, a3} with a1 < a2 < a3, branching on a3 > 2*a2.
 
     Wide spread (a3 > 2*a2): blocks X1, X2 / Y1, Y2 of sizes a2,
     a3 - 2*a2, a1, a3 - 2*a1; X2 beats Y1 and Y2 beats X1.  Narrow
@@ -209,29 +166,20 @@ def build_triple(a1: int, a2: int, a3: int) -> Realization:
         raise ValueError("triple values must be positive")
     if not a1 < a2 < a3:
         raise ValueError(f"need a1 < a2 < a3, got {(a1, a2, a3)}")
-    uu, vv = _PartLayout(), _PartLayout()
-    g: BipartiteOrientedGraph
     if a3 > 2 * a2:
-        x1 = uu.add("X1", a2, a1)
-        x2 = uu.add("X2", a3 - 2 * a2, a3)
-        y1 = vv.add("Y1", a1, a2)
-        y2 = vv.add("Y2", a3 - 2 * a1, a3)
-        g = BipartiteOrientedGraph(uu.size, vv.size)
-        g.set_arcs(x2, y1, ArcState.U_TO_V)
-        g.set_arcs(x1, y2, ArcState.V_TO_U)
+        u = [("X1", a2, a1), ("X2", a3 - 2 * a2, a3)]
+        v = [("Y1", a1, a2), ("Y2", a3 - 2 * a1, a3)]
+        rects = {("X2", "Y1"): U_TO_V, ("X1", "Y2"): V_TO_U}
     else:
         beaten = a3 - a2  # >= 1 and <= a2 because a2 < a3 <= 2*a2
-        x1_beaten = uu.add("X1_dominated", beaten, a1)
-        uu.add("X1_rest", a2 - beaten, a2)
-        vv.add("Y1", a1, a2)
-        y2 = vv.add("Y2", a2 - a1, a3)
-        g = BipartiteOrientedGraph(uu.size, vv.size)
-        g.set_arcs(x1_beaten, y2, ArcState.V_TO_U)
-    return Realization(g, uu.blocks(), vv.blocks(), ScoreSet((a1, a2, a3)))
+        u = [("X1_dominated", beaten, a1), ("X1_rest", a2 - beaten, a2)]
+        v = [("Y1", a1, a2), ("Y2", a2 - a1, a3)]
+        rects = {("X1_dominated", "Y2"): V_TO_U}
+    return (a1, a2, a3), u, v, rects
 
 
-def build_geometric(a: int, d: int, n: int) -> Realization:
-    """Realize {a, a*d, ..., a*d**n} for integer ratio d >= 2."""
+def _geometric(a: int, d: int, n: int) -> Layout:
+    """{a, a*d, ..., a*d**n} for integer ratio d >= 2."""
     if a < 1:
         raise ValueError("leading value must be positive")
     if d < 2:
@@ -239,15 +187,15 @@ def build_geometric(a: int, d: int, n: int) -> Realization:
     if n < 0:
         raise ValueError("term count must be nonnegative")
     if n == 0:
-        return build_singleton(a)
+        return _singleton(a)
     if n == 1:
-        return build_doubleton(a, a * d)
+        return _doubleton(a, a * d)
     if d == 2:
         return _geometric_ratio2(a, n)
     return _geometric_layered(a, d, n)
 
 
-def _geometric_layered(a: int, d: int, n: int) -> Realization:
+def _geometric_layered(a: int, d: int, n: int) -> Layout:
     """Ratio d >= 3: a two-block base realizing {a, a*d}, then one new
     dominating layer per extra term.
 
@@ -255,34 +203,25 @@ def _geometric_layered(a: int, d: int, n: int) -> Realization:
     are unchanged (the layer adds equally to the other part's size and
     to indegrees) and the layer itself scores a * d**e.
     """
-    uu, vv = _PartLayout(), _PartLayout()
-    x1 = uu.add("X1", a, a)
-    x2 = uu.add("X2", a * d - 2 * a, a * d)
-    y1 = vv.add("Y1", a, a)
-    y2 = vv.add("Y2", a * d - 2 * a, a * d)
+    u = [("X1", a, a), ("X2", a * d - 2 * a, a * d)]
+    v = [("Y1", a, a), ("Y2", a * d - 2 * a, a * d)]
+    rects = {("X2", "Y1"): U_TO_V, ("X1", "Y2"): V_TO_U}
     part = a * d - a  # current size of each part
-    layers = []
     for e in range(2, n + 1):
         target = a * d**e
         size = target - 2 * part
         if size <= 0:
             raise AssertionError(f"layer {e} size {size} must be positive for d >= 3")
-        u_before, v_before = uu.size, vv.size
-        xs = uu.add(f"X_layer{e}", size, target)
-        ys = vv.add(f"Y_layer{e}", size, target)
-        layers.append((u_before, v_before, xs, ys))
+        x, y = f"X_layer{e}", f"Y_layer{e}"
+        rects.update({(x, older): U_TO_V for older, _, _ in v})
+        rects.update({(older, y): V_TO_U for older, _, _ in u})
+        u.append((x, size, target))
+        v.append((y, size, target))
         part = target - part
-    g = BipartiteOrientedGraph(uu.size, vv.size)
-    g.set_arcs(x2, y1, ArcState.U_TO_V)
-    g.set_arcs(x1, y2, ArcState.V_TO_U)
-    for u_before, v_before, xs, ys in layers:
-        g.set_arcs(xs, range(0, v_before), ArcState.U_TO_V)
-        g.set_arcs(range(0, u_before), ys, ArcState.V_TO_U)
-    values = tuple(a * d**i for i in range(n + 1))
-    return Realization(g, uu.blocks(), vv.blocks(), ScoreSet(values))
+    return tuple(a * d**i for i in range(n + 1)), u, v, rects
 
 
-def _geometric_ratio2(a: int, n: int) -> Realization:
+def _geometric_ratio2(a: int, n: int) -> Layout:
     """Ratio 2, n >= 2: blocks indexed 0..n with index 2 absent from U
     and index 1 absent from V; higher block index beats lower.
 
@@ -297,19 +236,21 @@ def _geometric_ratio2(a: int, n: int) -> Realization:
         if size[i] <= 0:
             raise AssertionError(f"block {i} size {size[i]} must be positive")
         acc += size[i]
-    u_indices = [0, 1] + list(range(3, n + 1))
-    v_indices = [0, 2] + list(range(3, n + 1))
-    uu, vv = _PartLayout(), _PartLayout()
-    u_ranges = [(i, uu.add(f"X{i}", size[i], 2**i * a)) for i in u_indices]
-    v_ranges = [(i, vv.add(f"Y{i}", size[i], 2**i * a)) for i in v_indices]
-    g = BipartiteOrientedGraph(uu.size, vv.size)
-    _wire_by_index(g, u_ranges, v_ranges)
-    values = tuple(a * 2**i for i in range(n + 1))
-    return Realization(g, uu.blocks(), vv.blocks(), ScoreSet(values))
+    u_indices = [0, 1, *range(3, n + 1)]
+    v_indices = [0, 2, *range(3, n + 1)]
+    u = [(f"X{i}", size[i], 2**i * a) for i in u_indices]
+    v = [(f"Y{j}", size[j], 2**j * a) for j in v_indices]
+    rects = {
+        (f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U
+        for i in u_indices
+        for j in v_indices
+        if i != j
+    }
+    return tuple(a * 2**i for i in range(n + 1)), u, v, rects
 
 
-def build_arithmetic(a: int, d: int, n: int) -> Realization:
-    """Realize {a, a+d, ..., a+n*d} for positive difference d."""
+def _arithmetic(a: int, d: int, n: int) -> Layout:
+    """{a, a+d, ..., a+n*d} for positive difference d."""
     if a < 1:
         raise ValueError("leading value must be positive")
     if d < 1:
@@ -323,23 +264,22 @@ def build_arithmetic(a: int, d: int, n: int) -> Realization:
     return _arithmetic_narrow(a, d, n)
 
 
-def _arithmetic_wide(a: int, d: int, n: int) -> Realization:
+def _arithmetic_wide(a: int, d: int, n: int) -> Layout:
     """d > a: blocks 0..n on both parts, sizes alternating a and d - a;
     higher block index beats lower.  Block i scores a + i*d."""
-    uu, vv = _PartLayout(), _PartLayout()
-    u_ranges = []
-    v_ranges = []
-    for i in range(n + 1):
-        width = a if i % 2 == 0 else d - a
-        u_ranges.append((i, uu.add(f"X{i}", width, a + i * d)))
-        v_ranges.append((i, vv.add(f"Y{i}", width, a + i * d)))
-    g = BipartiteOrientedGraph(uu.size, vv.size)
-    _wire_by_index(g, u_ranges, v_ranges)
-    values = tuple(a + i * d for i in range(n + 1))
-    return Realization(g, uu.blocks(), vv.blocks(), ScoreSet(values))
+    width = [a if i % 2 == 0 else d - a for i in range(n + 1)]
+    u = [(f"X{i}", width[i], a + i * d) for i in range(n + 1)]
+    v = [(f"Y{i}", width[i], a + i * d) for i in range(n + 1)]
+    rects = {
+        (f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U
+        for i in range(n + 1)
+        for j in range(n + 1)
+        if i != j
+    }
+    return tuple(a + i * d for i in range(n + 1)), u, v, rects
 
 
-def _arithmetic_equal(a: int, n: int) -> Realization:
+def _arithmetic_equal(a: int, n: int) -> Layout:
     """d == a, so the target is {a, 2a, ..., (n+1)a}.
 
     U holds block 0 plus the odd-indexed blocks up to 2k-1, V holds the
@@ -349,28 +289,23 @@ def _arithmetic_equal(a: int, n: int) -> Realization:
     block with index i scores (i+1)*a.
     """
     if n == 0:
-        return build_singleton(a)
+        return _singleton(a)
     k = (n + 1) // 2
-    uu, vv = _PartLayout(), _PartLayout()
     x0_score = k * a if n % 2 else (k + 1) * a
-    u_ranges = [(0, uu.add("X0", a, x0_score))]
-    for i in range(1, 2 * k, 2):
-        u_ranges.append((i, uu.add(f"X{i}", a, (i + 1) * a)))
-    v_ranges = [(0, vv.add("Y0", a, a))]
-    for j in range(2, n + 1, 2):
-        v_ranges.append((j, vv.add(f"Y{j}", a, (j + 1) * a)))
-    g = BipartiteOrientedGraph(uu.size, vv.size)
-    for i, xs in u_ranges:
-        for j, ys in v_ranges:
-            if i > j:
-                g.set_arcs(xs, ys, ArcState.U_TO_V)
-            elif j > i > 0:
-                g.set_arcs(xs, ys, ArcState.V_TO_U)
-    values = tuple(a * (i + 1) for i in range(n + 1))
-    return Realization(g, uu.blocks(), vv.blocks(), ScoreSet(values))
+    u_indices = [0, *range(1, 2 * k, 2)]
+    v_indices = range(0, n + 1, 2)
+    u = [("X0", a, x0_score)] + [(f"X{i}", a, (i + 1) * a) for i in u_indices[1:]]
+    v = [(f"Y{j}", a, (j + 1) * a) for j in v_indices]
+    rects = {
+        (f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U
+        for i in u_indices
+        for j in v_indices
+        if i > j or j > i > 0
+    }
+    return tuple(a * (i + 1) for i in range(n + 1)), u, v, rects
 
 
-def _arithmetic_narrow(a: int, d: int, n: int) -> Realization:
+def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
     """d < a, n >= 2.  U holds block 0 (size a) plus odd-indexed blocks
     of size d; V holds block 0 (size a) plus even-indexed blocks of
     size d up to 2k where k = n // 2.
@@ -383,47 +318,52 @@ def _arithmetic_narrow(a: int, d: int, n: int) -> Realization:
     and Y_j at a + j*d.
     """
     if n == 0:
-        return build_singleton(a)
+        return _singleton(a)
     if n == 1:
-        return build_doubleton(a, a + d)
+        return _doubleton(a, a + d)
     k = n // 2
-    odd_top = n if n % 2 else n - 1
-    uu, vv = _PartLayout(), _PartLayout()
-    u_ranges = [(0, uu.add("X0", a, a + k * d))]
-    for i in range(1, odd_top + 1, 2):
-        score = a if i == 1 else a + i * d
-        u_ranges.append((i, uu.add(f"X{i}", d, score)))
+    odd, even = range(1, n + 1, 2), range(2, n + 1, 2)
+    u = [("X0", a, a + k * d)] + [(f"X{i}", d, a if i == 1 else a + i * d) for i in odd]
     y0_rest_score = a + k * d if n % 2 == 0 else a + (k + 1) * d
-    y0_beaten = vv.add("Y0_dominated", d, a + d)
-    vv.add("Y0_rest", a - d, y0_rest_score)
-    y_ranges = []
-    for j in range(2, 2 * k + 1, 2):
-        y_ranges.append((j, vv.add(f"Y{j}", d, a + j * d)))
-    g = BipartiteOrientedGraph(uu.size, vv.size)
-    for i, xs in u_ranges[1:]:  # odd-indexed X blocks
-        for j, ys in y_ranges:  # even-indexed Y blocks, j >= 2
-            if i > j:
-                g.set_arcs(xs, ys, ArcState.U_TO_V)
-            else:
-                g.set_arcs(xs, ys, ArcState.V_TO_U)
-        if i >= 3:
-            g.set_arcs(xs, y0_beaten, ArcState.U_TO_V)
-    values = tuple(a + i * d for i in range(n + 1))
-    return Realization(g, uu.blocks(), vv.blocks(), ScoreSet(values))
+    v = [("Y0_dominated", d, a + d), ("Y0_rest", a - d, y0_rest_score)]
+    v += [(f"Y{j}", d, a + j * d) for j in even]
+    rects = {(f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U for i in odd for j in even}
+    rects.update({(f"X{i}", "Y0_dominated"): U_TO_V for i in odd if i >= 3})
+    return tuple(a + i * d for i in range(n + 1)), u, v, rects
 
 
-def _wire_by_index(
-    g: BipartiteOrientedGraph,
-    u_ranges: list[tuple[int, range]],
-    v_ranges: list[tuple[int, range]],
-) -> None:
-    """Higher block index beats lower on both sides; equal index, no arc."""
-    for i, xs in u_ranges:
-        for j, ys in v_ranges:
-            if i > j:
-                g.set_arcs(xs, ys, ArcState.U_TO_V)
-            elif j > i:
-                g.set_arcs(xs, ys, ArcState.V_TO_U)
+def build_singleton(a: int) -> Realization:
+    """Realize {a} for a >= 1."""
+    return _assemble(_singleton(a))
+
+
+def build_doubleton(a1: int, a2: int) -> Realization:
+    """Realize {a1, a2} with 1 <= a1 < a2."""
+    return _assemble(_doubleton(a1, a2))
+
+
+def build_triple(a1: int, a2: int, a3: int) -> Realization:
+    """Realize {a1, a2, a3} with 1 <= a1 < a2 < a3."""
+    return _assemble(_triple(a1, a2, a3))
+
+
+def build_geometric(a: int, d: int, n: int) -> Realization:
+    """Realize {a, a*d, ..., a*d**n} for integer ratio d >= 2."""
+    return _assemble(_geometric(a, d, n))
+
+
+def build_arithmetic(a: int, d: int, n: int) -> Realization:
+    """Realize {a, a+d, ..., a+n*d} for positive difference d."""
+    return _assemble(_arithmetic(a, d, n))
+
+
+_BUILDERS = {
+    "Singleton": build_singleton,
+    "Doubleton": build_doubleton,
+    "Triple": build_triple,
+    "Geometric": build_geometric,
+    "Arithmetic": build_arithmetic,
+}
 
 
 def classify(score_set: ScoreSet) -> Family:
@@ -432,62 +372,46 @@ def classify(score_set: ScoreSet) -> Family:
     Small sets win over progression readings: sizes 1..3 classify as
     Singleton / Doubleton / Triple regardless of any progression
     structure.  Larger sets classify as Arithmetic (constant difference)
-    before Geometric (constant exact integer ratio).
+    before Geometric (constant exact integer ratio).  Sets containing 0
+    are Unsupported: no builder covers them, although some, such as
+    {0, 2}, have small witnesses that ``bounded_search`` finds.
     """
     vals = score_set.values
     if not vals:
         raise ValueError("score set is empty")
     if vals[0] == 0:
-        raise ValueError("score sets containing 0 are not realizable")
-    if len(vals) == 1:
-        return Singleton(vals[0])
-    if len(vals) == 2:
-        return Doubleton(vals[0], vals[1])
-    if len(vals) == 3:
-        return Triple(vals[0], vals[1], vals[2])
+        return Family("Unsupported", vals)
+    if len(vals) <= 3:
+        return Family(("Singleton", "Doubleton", "Triple")[len(vals) - 1], vals)
     diffs = {vals[i + 1] - vals[i] for i in range(len(vals) - 1)}
     if len(diffs) == 1:
-        return Arithmetic(vals[0], diffs.pop(), len(vals) - 1)
+        return Family("Arithmetic", (vals[0], diffs.pop(), len(vals) - 1))
     if all(vals[i + 1] % vals[i] == 0 for i in range(len(vals) - 1)):
         ratios = {vals[i + 1] // vals[i] for i in range(len(vals) - 1)}
         if len(ratios) == 1:
-            return Geometric(vals[0], ratios.pop(), len(vals) - 1)
-    return Unsupported(vals)
+            return Family("Geometric", (vals[0], ratios.pop(), len(vals) - 1))
+    return Family("Unsupported", vals)
 
 
 def build(family: Family) -> Realization:
     """Dispatch a classified family to its builder."""
-    if isinstance(family, Singleton):
-        return build_singleton(family.a)
-    if isinstance(family, Doubleton):
-        return build_doubleton(family.a1, family.a2)
-    if isinstance(family, Triple):
-        return build_triple(family.a1, family.a2, family.a3)
-    if isinstance(family, Geometric):
-        return build_geometric(family.a, family.d, family.n)
-    if isinstance(family, Arithmetic):
-        return build_arithmetic(family.a, family.d, family.n)
-    if isinstance(family, Unsupported):
+    builder = _BUILDERS.get(family.name)
+    if builder is None:
         raise UnsupportedScoreSetError(
-            f"no construction covers {{{','.join(map(str, family.values))}}}: "
-            "supported are sets of size 1-3 and geometric or arithmetic "
-            "progressions; realizability of other sets is an open question"
+            f"no construction covers {{{','.join(map(str, family.params))}}}: "
+            "supported are sets of positive integers of size 1-3 and geometric "
+            "or arithmetic progressions; 'scoresets search' looks for a witness "
+            "within given part sizes"
         )
-    raise TypeError(f"not a family: {family!r}")
+    return builder(*family.params)
 
 
 def realize(score_set: ScoreSet) -> Realization:
     """Classify, build, and self-verify a realization of ``score_set``."""
-    family = classify(score_set)
-    result = build(family)
+    result = build(classify(score_set))
     result.verify()
     if result.requested != score_set:
         raise RealizationError(
             f"builder realized {result.requested}, caller asked for {score_set}"
-        )
-    verdict = check_bipartite_pair(result.graph.score_sequences())
-    if not verdict.valid:
-        raise RealizationError(
-            f"constructed graph fails the sequence criterion at {verdict.witness}"
         )
     return result

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import ScoreSequencePair
+from .graph_core import ScoreSequencePair, _validate_sequence
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class CriterionVerdict:
 
 def check_oriented_scores(scores: Sequence[int]) -> CriterionVerdict:
     """Avery-style prefix check for oriented-graph score sequences."""
-    vals = _validated(scores)
+    vals = tuple(scores)
+    _validate_sequence(vals, "scores")
     total = 0
     for k, x in enumerate(vals, start=1):
         total += x
@@ -93,15 +94,6 @@ def check_bipartite_pair(pair: ScoreSequencePair) -> CriterionVerdict:
     if total != 2 * m * n:
         return CriterionVerdict(False, Violation((m, n), total, 2 * m * n, equality=True))
     return CriterionVerdict(True)
-
-
-def _validated(scores: Sequence[int]) -> tuple[int, ...]:
-    vals = tuple(scores)
-    if any(x < 0 for x in vals):
-        raise ValueError(f"scores must be nonnegative: {vals}")
-    if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-        raise ValueError(f"scores must be nondecreasing: {vals}")
-    return vals
 
 
 def _prefix(seq: Sequence[int]) -> list[int]:

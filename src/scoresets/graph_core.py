@@ -59,12 +59,12 @@ class ScoreSequencePair:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
         for name, seq in (("a", self.a), ("b", self.b)):
+            if not seq:
+                raise ValueError(f"sequence {name!r} must not be empty")
             _validate_sequence(seq, name)
 
 
 def _validate_sequence(seq: Sequence[int], name: str) -> None:
-    if len(seq) == 0:
-        raise ValueError(f"sequence {name!r} must not be empty")
     if any(x < 0 for x in seq):
         raise ValueError(f"sequence {name!r} has a negative entry: {seq}")
     if any(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
@@ -165,14 +165,6 @@ class BipartiteOrientedGraph:
             base = u * n
             self._arcs[base + vs.start : base + vs.stop] = fill
 
-    def extend_u(self, extra: int) -> "BipartiteOrientedGraph":
-        """New graph with ``extra`` isolated vertices appended to part U."""
-        if extra < 0:
-            raise ValueError("extra must be nonnegative")
-        return BipartiteOrientedGraph._from_raw(
-            self.m + extra, self.n, bytes(self._arcs) + bytes(extra * self.n)
-        )
-
     def reverse(self) -> "BipartiteOrientedGraph":
         """New graph with every arc flipped."""
         return BipartiteOrientedGraph._from_raw(
@@ -189,15 +181,23 @@ class BipartiteOrientedGraph:
         col = self._arcs[v :: self.n]
         return self.m + col.count(2) - col.count(1)
 
+    def scores(self) -> tuple[list[int], list[int]]:
+        """U-scores and V-scores, each in vertex order."""
+        m, n, arcs = self.m, self.n, self._arcs
+        rows = (arcs[u * n : (u + 1) * n] for u in range(m))
+        cols = (arcs[v::n] for v in range(n))
+        return (
+            [n + row.count(1) - row.count(2) for row in rows],
+            [m + col.count(2) - col.count(1) for col in cols],
+        )
+
     def score_sequences(self) -> ScoreSequencePair:
-        a = sorted(self.score_u(u) for u in range(self.m))
-        b = sorted(self.score_v(v) for v in range(self.n))
-        return ScoreSequencePair(tuple(a), tuple(b))
+        u_scores, v_scores = self.scores()
+        return ScoreSequencePair(sorted(u_scores), sorted(v_scores))
 
     def score_set(self) -> ScoreSet:
-        scores = {self.score_u(u) for u in range(self.m)}
-        scores.update(self.score_v(v) for v in range(self.n))
-        return ScoreSet.from_values(scores)
+        u_scores, v_scores = self.scores()
+        return ScoreSet.from_values(u_scores + v_scores)
 
     def arcs(self) -> Iterator[tuple[int, int, ArcState]]:
         """Non-absent pairs in row-major (u, v) order."""

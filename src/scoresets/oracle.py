@@ -38,6 +38,12 @@ def space_size(m: int, n: int) -> int:
 
 
 def _require_budget(m: int, n: int, budget: int) -> int:
+    # scores index bits of int64 set masks, and assignment indices are int64
+    if 2 * max(m, n) > 62 or m * n >= 40:
+        raise ValueError(
+            f"shape ({m}, {n}) is out of the oracle's range: scores above 62 "
+            "overflow its int64 set masks and m*n >= 40 its int64 indices"
+        )
     total = space_size(m, n)
     if total > budget:
         raise BudgetExceededError(

@@ -68,11 +68,11 @@ def test_realize_unsupported_exit_2(capsys):
     assert "unsupported" in err
 
 
-def test_realize_zero_exit_1(capsys):
-    for flag in ("0", "0,1", "0,1,2"):
+def test_realize_zero_exit_2(capsys):
+    for flag in ("0", "0,1", "0,1,2", "0,2"):
         code, _, err = run(capsys, "realize", "--set", flag)
-        assert code == 1, flag
-        assert "error" in err
+        assert code == 2, flag
+        assert "unsupported" in err and "scoresets search" in err
 
 
 def test_realize_unsorted_set_warns_but_succeeds(capsys):
@@ -130,6 +130,14 @@ def test_enumerate_budget_exit_3(capsys):
     code, _, err = run(capsys, "enumerate", "--m", "5", "--n", "4", "--emit", "sets")
     assert code == 3
     assert "budget" in err
+
+
+def test_enumerate_beyond_int64_exit_1(capsys):
+    code, _, err = run(
+        capsys, "enumerate", "--m", "1", "--n", "40", "--emit", "sets", "--budget", str(3**40)
+    )
+    assert code == 1
+    assert "int64" in err
 
 
 def test_search_negative_answer_exits_zero(capsys):

@@ -1,13 +1,10 @@
+import hashlib
+
 import pytest
 
 from scoresets.constructions import (
-    Arithmetic,
-    Doubleton,
-    Geometric,
+    Family,
     RealizationError,
-    Singleton,
-    Triple,
-    Unsupported,
     UnsupportedScoreSetError,
     build_arithmetic,
     build_doubleton,
@@ -320,24 +317,24 @@ def test_arithmetic_block_audit(params):
 
 
 def test_classify_small_sets_win():
-    assert classify(ScoreSet((1, 2, 4))) == Triple(1, 2, 4)
-    assert classify(ScoreSet((7,))) == Singleton(7)
-    assert classify(ScoreSet((2, 9))) == Doubleton(2, 9)
+    assert classify(ScoreSet((1, 2, 4))) == Family("Triple", (1, 2, 4))
+    assert classify(ScoreSet((7,))) == Family("Singleton", (7,))
+    assert classify(ScoreSet((2, 9))) == Family("Doubleton", (2, 9))
 
 
 def test_classify_progressions():
-    assert classify(ScoreSet((5, 7, 9, 11))) == Arithmetic(5, 2, 3)
-    assert classify(ScoreSet((2, 6, 18, 54))) == Geometric(2, 3, 3)
-    assert classify(ScoreSet((1, 2, 4, 9))) == Unsupported((1, 2, 4, 9))
+    assert classify(ScoreSet((5, 7, 9, 11))) == Family("Arithmetic", (5, 2, 3))
+    assert classify(ScoreSet((2, 6, 18, 54))) == Family("Geometric", (2, 3, 3))
+    assert classify(ScoreSet((1, 2, 4, 9))) == Family("Unsupported", (1, 2, 4, 9))
     # exact divisibility required for a geometric reading
-    assert classify(ScoreSet((2, 3, 5, 8))) == Unsupported((2, 3, 5, 8))
+    assert classify(ScoreSet((2, 3, 5, 8))) == Family("Unsupported", (2, 3, 5, 8))
 
 
 def test_classify_rejections():
     with pytest.raises(ValueError):
         classify(ScoreSet(()))
-    with pytest.raises(ValueError):
-        classify(ScoreSet((0, 1, 2)))
+    # no builder covers 0, although {0, 2} has a 1x1 witness
+    assert classify(ScoreSet((0, 1, 2))) == Family("Unsupported", (0, 1, 2))
 
 
 # ---------------------------------------------------------------- realize
@@ -372,6 +369,67 @@ def test_verify_catches_tampering():
     r.graph.set_arc(0, 0, ArcState.ABSENT)
     with pytest.raises(RealizationError):
         r.verify()
+
+
+# ---------------------------------------------------------- golden output
+
+# sha256 of to_json() and to_dot() for one small set per builder branch;
+# the machine formats are byte-stable, so these digests never change
+GOLDEN = {
+    "singleton": (
+        (3,),
+        "4b9294d1467208d79806a4091e99a57a9e834b728a8b1db531c50401e796fe40",
+        "e08eaf7852a83bdb00aa4e84ca4a0edfa743c6d51526de21d730284579edd4c9",
+    ),
+    "doubleton": (
+        (2, 5),
+        "1d4a3e65137e7ef7c0a0ac6f554ab9c6deb62c0bf53d22abc517827878035021",
+        "af61e891eec9a2fc5cd039e397cbd77db73d44aaaca8c2326b52130e65c417ab",
+    ),
+    "triple-wide": (
+        (1, 2, 5),
+        "7c67f45c911e718b689e1f254dee2858e521c9a10a3d00eac32156f3db77c6fe",
+        "0e03ec0a202442e944e231225f63d3da5b6d27c099b702b08f1841f2bbbd9070",
+    ),
+    "triple-narrow": (
+        (2, 3, 5),
+        "a9fe383dcc2518e1bb23825d6f22154dc9df7e72c49f0f85091cda534694ddb1",
+        "e9778cc309968ec026589ff9d00320157a9d85a0aeeeb2ac8d78868c0ac4860c",
+    ),
+    "geometric-ratio2": (
+        (1, 2, 4, 8),
+        "2e4a9e6a3576f3d8c618e9f8712e50be072cfe26447a0081a14c39b1d18bdb73",
+        "e3b8358af080fbadc1c6a847cd061037f9f38dd2373b5cca10117626c5799b8a",
+    ),
+    "geometric-layered": (
+        (1, 3, 9, 27),
+        "1b060ad0b17bdc60d5748fa4c13ddc86a75334cbe068e8d6480e2a17900ae960",
+        "d37f043483e1481ce8a11af6aee990528fbe76994fa7fab623c5eeb580079d49",
+    ),
+    "arithmetic-wide": (
+        (1, 3, 5, 7),
+        "99119cb23e46a50e1bf38dfe05fa2e2ed121d401f796c1401e037897028697e2",
+        "797154c243c2cb946c2bb957d631023808e6c00ddf94998a16a6ddebebb40467",
+    ),
+    "arithmetic-equal": (
+        (2, 4, 6, 8),
+        "13222d18cc4eff9527d5b96baddac12aa474e6334ddff298a17e9167a47f5cb3",
+        "4e07f8fbcf2cfd61673689b01e429cc5b1e8bd0b111190534ac2881b780f86c2",
+    ),
+    "arithmetic-narrow": (
+        (3, 4, 5, 6, 7),
+        "8b0672997b8a561ce4aa5304bd00ab93d8492a038ce94a0986f071d600c0c502",
+        "4a312b812b9dc3ac2f029b2570a33071436ad4e752f5f850df0c8ce7c9443d73",
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(GOLDEN))
+def test_realize_output_matches_golden_digest(branch):
+    values, json_digest, dot_digest = GOLDEN[branch]
+    r = realize(ScoreSet(values))
+    assert hashlib.sha256(r.to_json().encode()).hexdigest() == json_digest
+    assert hashlib.sha256(r.to_dot().encode()).hexdigest() == dot_digest
 
 
 # ------------------------------------------------- oracle cross-verification

@@ -92,17 +92,6 @@ def test_score_set_of_empty_graphs():
     assert BipartiteOrientedGraph(2, 5).score_set() == ScoreSet((2, 5))
 
 
-def test_extend_u_keeps_arcs_and_scores():
-    g = BipartiteOrientedGraph(2, 2)
-    g.set_arc(0, 1, ArcState.U_TO_V)
-    bigger = g.extend_u(3)
-    assert (bigger.m, bigger.n) == (5, 2)
-    assert bigger.arc(0, 1) is ArcState.U_TO_V
-    assert all(bigger.arc(u, v) is ArcState.ABSENT for u in range(2, 5) for v in range(2))
-    assert [bigger.score_u(u) for u in range(2)] == [g.score_u(0), g.score_u(1)]
-    assert [bigger.score_v(v) for v in range(2)] == [g.score_v(0) + 3, g.score_v(1) + 3]
-
-
 def test_json_of_empty_graph_is_exact():
     assert BipartiteOrientedGraph(1, 1).to_json() == '{"m":1,"n":1,"arcs":[]}'
 
@@ -210,6 +199,13 @@ def test_score_bounds(g):
         assert 0 <= g.score_u(u) <= 2 * g.n
     for v in range(g.n):
         assert 0 <= g.score_v(v) <= 2 * g.m
+
+
+@given(graphs())
+def test_scores_match_per_vertex_scores(g):
+    u_scores, v_scores = g.scores()
+    assert u_scores == [g.score_u(u) for u in range(g.m)]
+    assert v_scores == [g.score_v(v) for v in range(g.n)]
 
 
 @given(graphs())

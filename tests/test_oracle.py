@@ -183,6 +183,28 @@ def test_budget_enforcement():
     assert enumerate_graphs(1, 1, lambda g: None, budget=3) == 3
 
 
+@pytest.mark.parametrize("m,n", [(1, 40), (5, 8), (32, 1), (1, 32)])
+def test_shapes_beyond_int64_rejected_before_any_allocation(m, n, monkeypatch):
+    import scoresets.oracle as oracle
+
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(oracle, "_chunk_scores", no_scan)
+    monkeypatch.setattr(oracle.EnumerationSpace, "decode", no_scan)
+    budget = space_size(m, n)  # the budget admits the shape; the int64 range does not
+    calls = [
+        lambda: enumerate_graphs(m, n, lambda g: None, budget=budget),
+        lambda: catalog_for_shape(m, n, budget=budget),
+        lambda: criterion_equivalence(m, n, budget=budget),
+        lambda: bounded_search(ScoreSet((1,)), m, n, budget=budget),
+        lambda: realizable_sets_up_to(m, n, budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="int64"):
+            call()
+
+
 def test_score_bound_saturation_1x1():
     u_scores = set()
     enumerate_graphs(1, 1, lambda g: u_scores.add(g.score_u(0)))

@@ -1,0 +1,30 @@
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, argv, monkeypatch, capsys):
+    main = runpy.run_path(str(SCRIPTS / name))["main"]
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    assert main() == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_progression_gallery(monkeypatch, capsys):
+    lines = run_script("progression_gallery.py", [], monkeypatch, capsys)
+    assert len(lines) == 10
+    for line in lines:
+        fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
+        if fields["closed-form"] != "-":
+            assert fields["m"] == fields["n"] == fields["closed-form"], line
+
+
+def test_remark_census(monkeypatch, capsys):
+    argv = ["--max-m", "2", "--max-n", "2", "--max-value", "3"]
+    lines = run_script("remark_census.py", argv, monkeypatch, capsys)
+    assert lines[0].endswith("with m <= 2, n <= 2")
+    missing = {line.split()[0] for line in lines[2:]}
+    assert {"{0}", "{0,1}", "{0,1,2}"} <= missing
+    assert "{0,2}" not in missing  # the 1x1 graph with one arc
