@@ -13,7 +13,7 @@ import sys
 from itertools import combinations
 from typing import Sequence
 
-from .constructions import UnsupportedScoreSetError, classify, realize
+from .constructions import UnsupportedScoreSetError, realize
 from .graph_core import BipartiteOrientedGraph, ScoreSequencePair, ScoreSet
 from .criteria import CriterionVerdict, check_bipartite_pair, check_oriented_scores
 from .oracle import (
@@ -150,10 +150,9 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     elif args.format == "dot":
         text = realization.to_dot()
     else:
-        family = classify(score_set)
         lines = [
             f"score set {score_set}",
-            f"family {family.name}",
+            f"family {realization.family.name}",
             f"m = {g.m}, n = {g.n}",
             "U blocks: " + " ".join(_fmt_block(b) for b in realization.u_blocks),
             "V blocks: " + " ".join(_fmt_block(b) for b in realization.v_blocks),
@@ -218,8 +217,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     catalog = catalog_for_shape(
         args.m, args.n, budget=args.budget, sets=emit_sets, pairs=not emit_sets
     )
-    kinds = ("set",) if emit_sets else ("pair",)
-    _write(catalog.to_jsonl(kinds), args.out)
+    _write(catalog.to_jsonl(), args.out)
     return 0
 
 

@@ -19,7 +19,7 @@ refuses such inputs instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .criteria import check_bipartite_pair
 from .graph_core import ArcState, BipartiteOrientedGraph, Block, ScoreSequencePair, ScoreSet
@@ -53,12 +53,14 @@ class Family:
 
 @dataclass(frozen=True)
 class Realization:
-    """A constructed graph plus its auditable block layout."""
+    """A constructed graph plus its auditable block layout, and the
+    family ``build`` dispatched on (None from a builder called directly)."""
 
     graph: BipartiteOrientedGraph
     u_blocks: tuple[Block, ...]
     v_blocks: tuple[Block, ...]
     requested: ScoreSet
+    family: Family | None = None
 
     def verify(self) -> None:
         """Recompute every promise; raise RealizationError on mismatch."""
@@ -403,7 +405,7 @@ def build(family: Family) -> Realization:
             "or arithmetic progressions; 'scoresets search' looks for a witness "
             "within given part sizes"
         )
-    return builder(*family.params)
+    return replace(builder(*family.params), family=family)
 
 
 def realize(score_set: ScoreSet) -> Realization:

@@ -103,6 +103,8 @@ class ScoreSet:
 
 
 _REVERSE_TABLE = bytes.maketrans(b"\x01\x02", b"\x02\x01")
+# one byte per pair: the largest arc buffer a graph may allocate is 256 MiB
+_MAX_PAIRS = 2**28
 
 
 class BipartiteOrientedGraph:
@@ -118,6 +120,10 @@ class BipartiteOrientedGraph:
     def __init__(self, m: int, n: int) -> None:
         if m < 1 or n < 1:
             raise ValueError(f"both parts must be nonempty, got m={m}, n={n}")
+        if m * n > _MAX_PAIRS:
+            raise ValueError(
+                f"graph of {m}x{n} has {m * n} pairs, above the dense limit of 2**28"
+            )
         self.m = m
         self.n = n
         self._arcs = bytearray(m * n)

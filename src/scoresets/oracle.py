@@ -6,10 +6,10 @@ pair (0, 0) least significant; digit values follow ArcState (0 absent,
 1 u->v, 2 v->u).  The numbering is part of the catalog file contract,
 so witnesses stay portable.
 
-Bulk scans work on contiguous index chunks (the shard unit) with
-vectorized scoring; per-chunk results merge associatively, so the
-outcome is independent of the chunk size.  Every entry point enforces a
-budget cap on 3**(m*n) before touching a shape.
+Bulk scans work on contiguous index chunks with vectorized scoring;
+per-chunk results merge associatively, so the outcome is independent of
+the chunk size.  Every entry point enforces a budget cap on 3**(m*n)
+before touching a shape.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .criteria import check_bipartite_pair
-from .graph_core import BipartiteOrientedGraph, ScoreSequencePair, ScoreSet
+from .graph_core import BipartiteOrientedGraph, ScoreSequencePair, ScoreSet, _is_int
 
 DEFAULT_BUDGET = 3**16
 _CHUNK = 1 << 18
@@ -37,13 +37,17 @@ def space_size(m: int, n: int) -> int:
     return 3 ** (m * n)
 
 
-def _require_budget(m: int, n: int, budget: int) -> int:
+def _require_range(m: int, n: int) -> None:
     # scores index bits of int64 set masks, and assignment indices are int64
     if 2 * max(m, n) > 62 or m * n >= 40:
         raise ValueError(
             f"shape ({m}, {n}) is out of the oracle's range: scores above 62 "
             "overflow its int64 set masks and m*n >= 40 its int64 indices"
         )
+
+
+def _require_budget(m: int, n: int, budget: int) -> int:
+    _require_range(m, n)
     total = space_size(m, n)
     if total > budget:
         raise BudgetExceededError(
@@ -80,10 +84,10 @@ class EnumerationSpace:
     def encode(self, graph: BipartiteOrientedGraph) -> int:
         if (graph.m, graph.n) != (self.m, self.n):
             raise ValueError("graph shape does not match this space")
+        # the row-major arc buffer holds the base-3 digits, least significant first
         index = 0
-        for u in reversed(range(self.m)):
-            for v in reversed(range(self.n)):
-                index = index * 3 + int(graph.arc(u, v))
+        for state in reversed(graph._arcs):
+            index = index * 3 + state
         return index
 
 
@@ -93,23 +97,16 @@ def enumerate_graphs(
     visitor: Callable[[BipartiteOrientedGraph], None],
     *,
     budget: int = DEFAULT_BUDGET,
-    start: int = 0,
-    stop: int | None = None,
 ) -> int:
     """Visit every assignment of shape (m, n) in ascending index order.
 
-    ``start``/``stop`` restrict the scan to one shard.  Returns the
-    number of visits.
+    Returns the number of visits.
     """
     total = _require_budget(m, n, budget)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad shard [{start}, {stop}) for space of {total}")
     space = EnumerationSpace(m, n)
-    for index in range(start, stop):
+    for index in range(total):
         visitor(space.decode(index))
-    return stop - start
+    return total
 
 
 def _chunk_scores(m: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,17 +128,23 @@ def _chunk_scores(m: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     return u_scores, v_scores
 
 
-def _mask_column(mask: np.ndarray, scores: np.ndarray) -> None:
-    one = np.int64(1)
-    for col in range(scores.shape[1]):
-        mask |= one << scores[:, col].astype(np.int64)
+def _scan(m: int, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Scores of every assignment of shape (m, n) in ascending index
+    order, one chunk of ``_CHUNK`` indices at a time: yields the chunk's
+    first index with its U- and V-scores."""
+    total = space_size(m, n)
+    chunk = _CHUNK
+    for lo in range(0, total, chunk):
+        yield (lo, *_chunk_scores(m, n, lo, min(lo + chunk, total)))
 
 
 def _set_masks(u_scores: np.ndarray, v_scores: np.ndarray) -> np.ndarray:
     """Bitmask per assignment: bit s set iff some vertex scores s."""
     mask = np.zeros(u_scores.shape[0], dtype=np.int64)
-    _mask_column(mask, u_scores)
-    _mask_column(mask, v_scores)
+    one = np.int64(1)
+    for scores in (u_scores, v_scores):
+        for col in range(scores.shape[1]):
+            mask |= one << scores[:, col].astype(np.int64)
     return mask
 
 
@@ -168,50 +171,58 @@ class Witness:
 PairKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _record(kind: str, key, witness: Witness) -> dict:
+    key_doc = list(key) if kind == "set" else [list(key[0]), list(key[1])]
+    return {"kind": kind, "key": key_doc, "m": witness.m, "n": witness.n, "index": str(witness.index)}
+
+
 @dataclass
 class RealizabilityCatalog:
     """Every realizable score set / sequence pair within shape bounds,
     each mapped to its first witness in (m, n, index) order."""
 
-    m_max: int
-    n_max: int
     sets: dict[tuple[int, ...], Witness] = field(default_factory=dict)
     pairs: dict[PairKey, Witness] = field(default_factory=dict)
 
-    def records(self, kinds: tuple[str, ...] = ("set", "pair")) -> Iterator[dict]:
-        """Catalog records, keys sorted lexicographically per kind."""
-        if "set" in kinds:
-            for key in sorted(self.sets):
-                w = self.sets[key]
-                yield {"kind": "set", "key": list(key), "m": w.m, "n": w.n, "index": str(w.index)}
-        if "pair" in kinds:
-            for key in sorted(self.pairs):
-                w = self.pairs[key]
-                yield {
-                    "kind": "pair",
-                    "key": [list(key[0]), list(key[1])],
-                    "m": w.m,
-                    "n": w.n,
-                    "index": str(w.index),
-                }
+    def records(self) -> Iterator[dict]:
+        """Set records, then pair records, keys sorted lexicographically."""
+        for kind, table in (("set", self.sets), ("pair", self.pairs)):
+            for key in sorted(table):
+                yield _record(kind, key, table[key])
 
-    def to_jsonl(self, kinds: tuple[str, ...] = ("set", "pair")) -> str:
-        return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in self.records(kinds))
+    def to_jsonl(self) -> str:
+        return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in self.records())
 
     @classmethod
-    def from_jsonl(cls, text: str, m_max: int = 0, n_max: int = 0) -> "RealizabilityCatalog":
-        catalog = cls(m_max, n_max)
-        for line in text.splitlines():
+    def from_jsonl(cls, text: str) -> "RealizabilityCatalog":
+        """Parse catalog records.  Every witness is decoded and must
+        reproduce its record exactly; raises ValueError on any defect."""
+        catalog = cls()
+        for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            witness = Witness(rec["m"], rec["n"], int(rec["index"]))
-            if rec["kind"] == "set":
-                catalog.sets[tuple(rec["key"])] = witness
-            elif rec["kind"] == "pair":
-                catalog.pairs[(tuple(rec["key"][0]), tuple(rec["key"][1]))] = witness
+            try:
+                rec = json.loads(line)
+                kind, m, n, index = rec["kind"], rec["m"], rec["n"], int(rec["index"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"catalog line {number} is malformed: {exc}") from None
+            if kind not in ("set", "pair"):
+                raise ValueError(f"catalog line {number}: unknown record kind: {kind!r}")
+            if not _is_int(m) or not _is_int(n):
+                raise ValueError(f"catalog line {number}: 'm' and 'n' must be integers")
+            _require_range(m, n)
+            witness = Witness(m, n, index)
+            graph = witness.graph()
+            if kind == "set":
+                key, table = graph.score_set().values, catalog.sets
             else:
-                raise ValueError(f"unknown record kind: {rec['kind']!r}")
+                pair = graph.score_sequences()
+                key, table = (pair.a, pair.b), catalog.pairs
+            # compared as JSON so that true/1 and 1.0/1 do not pass for each other
+            expected = _record(kind, key, witness)
+            if json.dumps(rec, sort_keys=True) != json.dumps(expected, sort_keys=True):
+                raise ValueError(f"catalog line {number}: the witness does not reproduce {line}")
+            table[key] = witness
         return catalog
 
 
@@ -220,16 +231,13 @@ def catalog_for_shape(
     n: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    chunk: int = _CHUNK,
     sets: bool = True,
     pairs: bool = True,
 ) -> RealizabilityCatalog:
-    """Catalog of score sets and sequence pairs attained at one shape."""
-    total = _require_budget(m, n, budget)
-    catalog = RealizabilityCatalog(m, n)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        u_scores, v_scores = _chunk_scores(m, n, lo, hi)
+    """Catalog of the score sets and/or sequence pairs attained at one shape."""
+    _require_budget(m, n, budget)
+    catalog = RealizabilityCatalog()
+    for lo, u_scores, v_scores in _scan(m, n):
         if sets:
             masks = _set_masks(u_scores, v_scores)
             uniq, first = np.unique(masks, return_index=True)
@@ -244,10 +252,17 @@ def catalog_for_shape(
     return catalog
 
 
-def _shapes(m_max: int, n_max: int) -> Iterator[tuple[int, int]]:
+def _shapes(m_max: int, n_max: int, budget: int) -> list[tuple[int, int]]:
+    """Every shape within the bounds, m outer, each checked against the
+    oracle's range and the budget before any scan starts."""
+    if m_max < 1 or n_max < 1:
+        raise ValueError("bounds must be at least 1")
+    shapes = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
-            yield m, n
+            _require_budget(m, n, budget)
+            shapes.append((m, n))
+    return shapes
 
 
 def realizable_sets_up_to(
@@ -255,16 +270,11 @@ def realizable_sets_up_to(
     n_max: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    chunk: int = _CHUNK,
 ) -> RealizabilityCatalog:
     """Merge per-shape catalogs over all shapes within the bounds."""
-    if m_max < 1 or n_max < 1:
-        raise ValueError("bounds must be at least 1")
-    for m, n in _shapes(m_max, n_max):
-        _require_budget(m, n, budget)
-    catalog = RealizabilityCatalog(m_max, n_max)
-    for m, n in _shapes(m_max, n_max):
-        shape_catalog = catalog_for_shape(m, n, budget=budget, chunk=chunk)
+    catalog = RealizabilityCatalog()
+    for m, n in _shapes(m_max, n_max, budget):
+        shape_catalog = catalog_for_shape(m, n, budget=budget)
         for key, witness in shape_catalog.sets.items():
             catalog.sets.setdefault(key, witness)
         for pair_key, witness in shape_catalog.pairs.items():
@@ -278,7 +288,6 @@ def bounded_search(
     n_max: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    chunk: int = _CHUNK,
 ) -> BipartiteOrientedGraph | None:
     """First graph within the shape bounds whose score set equals the
     target, or None after exhausting every shape.
@@ -291,18 +300,11 @@ def bounded_search(
     values = tuple(score_set)
     if not values:
         raise ValueError("score set is empty")
-    if m_max < 1 or n_max < 1:
-        raise ValueError("bounds must be at least 1")
-    for m, n in _shapes(m_max, n_max):
-        _require_budget(m, n, budget)
     target = _mask_of(values)
-    for m, n in _shapes(m_max, n_max):
+    for m, n in _shapes(m_max, n_max, budget):
         if len(values) > m + n or values[-1] > max(2 * m, 2 * n):
             continue
-        total = space_size(m, n)
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            u_scores, v_scores = _chunk_scores(m, n, lo, hi)
+        for lo, u_scores, v_scores in _scan(m, n):
             masks = _set_masks(u_scores, v_scores)
             hits = np.nonzero(masks == target)[0]
             if hits.size:
@@ -326,7 +328,6 @@ def criterion_equivalence(
     n: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    chunk: int = _CHUNK,
 ) -> EquivalenceReport:
     """Test both directions of the sequence-pair criterion at one shape.
 
@@ -334,9 +335,7 @@ def criterion_equivalence(
     Sufficiency: every nondecreasing candidate pair with entries in
     [0, 2n] x [0, 2m] that passes the check is attained by some graph.
     """
-    realized = set(
-        catalog_for_shape(m, n, budget=budget, chunk=chunk, sets=False, pairs=True).pairs
-    )
+    realized = set(catalog_for_shape(m, n, budget=budget, sets=False).pairs)
     counterexamples: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
     for a, b in sorted(realized):
         if not check_bipartite_pair(ScoreSequencePair(a, b)).valid:

@@ -140,6 +140,34 @@ def test_enumerate_beyond_int64_exit_1(capsys):
     assert "int64" in err
 
 
+def _refuse_large_buffers(monkeypatch):
+    import scoresets.graph_core as graph_core
+
+    def guarded(size=0):
+        assert size <= 1 << 20, f"allocated {size} bytes"
+        return bytearray(size)
+
+    monkeypatch.setattr(graph_core, "bytearray", guarded, raising=False)
+
+
+def test_score_dense_limit_exit_1(capsys, monkeypatch):
+    import io
+
+    _refuse_large_buffers(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"m":100000,"n":100000,"arcs":[]}'))
+    code, out, err = run(capsys, "score", "--graph", "-")
+    assert code == 1 and out == ""
+    assert "dense limit" in err
+
+
+def test_realize_dense_limit_exit_1(capsys, monkeypatch):
+    _refuse_large_buffers(monkeypatch)
+    values = ",".join(str(3**k) for k in range(11))  # geometric(1, 3, 10): 44287 x 44287
+    code, out, err = run(capsys, "realize", "--set", values)
+    assert code == 1 and out == ""
+    assert "dense limit" in err
+
+
 def test_search_negative_answer_exits_zero(capsys):
     code, out, _ = run(capsys, "search", "--set", "0", "--max-m", "3", "--max-n", "3")
     assert code == 0

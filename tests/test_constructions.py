@@ -337,6 +337,14 @@ def test_classify_rejections():
     assert classify(ScoreSet((0, 1, 2))) == Family("Unsupported", (0, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "values", [(7,), (2, 9), (1, 2, 4), (5, 7, 9, 11), (2, 6, 18, 54)]
+)
+def test_realize_records_the_classified_family(values):
+    score_set = ScoreSet(values)
+    assert realize(score_set).family == classify(score_set)
+
+
 # ---------------------------------------------------------------- realize
 
 

@@ -1,5 +1,10 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
+
+import scoresets.oracle as oracle
 
 from conftest import graphs
 from scoresets.graph_core import ArcState, BipartiteOrientedGraph, ScoreSet
@@ -23,15 +28,6 @@ def test_enumeration_counts():
     assert sum(counts) == 3
     assert enumerate_graphs(2, 2, lambda g: None) == 81
     assert enumerate_graphs(3, 3, lambda g: None) == 19683
-
-
-def test_enumeration_shards_cover_the_space():
-    seen = []
-    enumerate_graphs(1, 2, seen.append, start=0, stop=4)
-    enumerate_graphs(1, 2, seen.append, start=4, stop=9)
-    assert len(seen) == space_size(1, 2)
-    space = EnumerationSpace(1, 2)
-    assert seen[5] == space.decode(5)
 
 
 def test_decode_encode_round_trip_exhaustive():
@@ -95,12 +91,29 @@ def test_catalog_witnesses_reproduce_keys():
         assert (pair.a, pair.b) == (a, b)
 
 
-def test_shard_merge_determinism():
-    reference = catalog_for_shape(2, 2, chunk=81)
+def test_shard_merge_determinism(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 81)
+    reference = catalog_for_shape(2, 2)
+    # {0,2,6} is first attained at 2x3, index 368; {0} nowhere within 2x3
+    found = bounded_search(ScoreSet((0, 2, 6)), 2, 3)
+    assert (found.m, found.n, EnumerationSpace(2, 3).encode(found)) == (2, 3, 368)
+    sizes = []
+    chunk_scores = oracle._chunk_scores
+
+    def recording(m, n, lo, hi):
+        sizes.append(hi - lo)
+        return chunk_scores(m, n, lo, hi)
+
+    monkeypatch.setattr(oracle, "_chunk_scores", recording)
     for chunk in (1, 5, 7, 80, 1000):
-        other = catalog_for_shape(2, 2, chunk=chunk)
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        sizes.clear()
+        other = catalog_for_shape(2, 2)
         assert other.sets == reference.sets
         assert other.pairs == reference.pairs
+        assert bounded_search(ScoreSet((0, 2, 6)), 2, 3) == found
+        assert bounded_search(ScoreSet((0,)), 2, 3) is None
+        assert max(sizes) == min(chunk, space_size(2, 3))
 
 
 def test_visitor_and_vectorized_lanes_agree():
@@ -223,14 +236,12 @@ def test_handshake_on_enumerated_graphs():
 def test_jsonl_round_trip_and_ordering():
     catalog = catalog_for_shape(1, 2)
     text = catalog.to_jsonl()
-    loaded = RealizabilityCatalog.from_jsonl(text, m_max=1, n_max=2)
+    loaded = RealizabilityCatalog.from_jsonl(text)
     assert loaded.sets == catalog.sets
     assert loaded.pairs == catalog.pairs
     lines = text.splitlines()
     set_keys = [line for line in lines if '"kind":"set"' in line]
     assert set_keys == sorted(set_keys)
-    import json
-
     record = json.loads(lines[0])
     assert isinstance(record["index"], str)
 
@@ -240,3 +251,46 @@ def test_catalog_for_shape_emit_flags():
     assert only_sets.sets and not only_sets.pairs
     only_pairs = catalog_for_shape(1, 1, sets=False)
     assert only_pairs.pairs and not only_pairs.sets
+
+
+def test_from_jsonl_rejects_tampered_records():
+    text = catalog_for_shape(1, 2).to_jsonl()
+    good = json.loads(text.splitlines()[0])
+    tampered = [
+        {**good, "index": str(int(good["index"]) + 1)},  # decodes to another set
+        {**good, "index": "9"},  # outside the 1x2 space of 9 assignments
+        {**good, "index": "x"},
+        {**good, "kind": "triple"},
+        {**good, "key": [good["key"]]},
+        {**good, "key": [True if v == 1 else v for v in good["key"]]},
+        {**good, "m": 0},
+        {**good, "m": 40},
+    ]
+    for record in tampered:
+        line = json.dumps(record, separators=(",", ":"))
+        with pytest.raises(ValueError):
+            RealizabilityCatalog.from_jsonl(text + line + "\n")
+    with pytest.raises(ValueError):
+        RealizabilityCatalog.from_jsonl('{"kind":"set"}\n')
+    with pytest.raises(ValueError):
+        RealizabilityCatalog.from_jsonl("[1]\n")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_catalog_output_golden_digests(capsys):
+    from scoresets.cli import main
+
+    # the catalog file contract: these bytes must not change with the scan code
+    golden = {
+        "sets": "9f8bfada7eaa5c2f692302777829ac068d755dbae45e4fab08ad0d6add1e0458",
+        "pairs": "0bd690479174bae2a65a70d4b06ba83a1ce437464a8655c0f4bbf25941a51b23",
+    }
+    for emit, digest in golden.items():
+        assert main(["enumerate", "--m", "2", "--n", "3", "--emit", emit]) == 0
+        assert _sha256(capsys.readouterr().out) == digest, emit
+    assert _sha256(realizable_sets_up_to(2, 3).to_jsonl()) == (
+        "c2ba5a51f7622eaa6725d14f36190d73b01e68f7bc391e836bcad946e9d8921d"
+    )
