@@ -144,7 +144,6 @@ def _write(text: str, out: str | None) -> None:
 def _cmd_realize(args: argparse.Namespace) -> int:
     score_set = _parse_score_set(args.set)
     realization = realize(score_set)
-    g = realization.graph
     if args.format == "json":
         text = realization.to_json() + "\n"
     elif args.format == "dot":
@@ -153,7 +152,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         lines = [
             f"score set {score_set}",
             f"family {realization.family.name}",
-            f"m = {g.m}, n = {g.n}",
+            f"m = {realization.m}, n = {realization.n}",
             "U blocks: " + " ".join(_fmt_block(b) for b in realization.u_blocks),
             "V blocks: " + " ".join(_fmt_block(b) for b in realization.v_blocks),
         ]
@@ -256,8 +255,7 @@ def _cmd_conjecture_scan(args: argparse.Namespace) -> int:
             score_set = ScoreSet(values)
             try:
                 realization = realize(score_set)
-                g = realization.graph
-                status = f"constructed (m={g.m}, n={g.n})"
+                status = f"constructed (m={realization.m}, n={realization.n})"
                 tallies["constructed"] += 1
             except UnsupportedScoreSetError:
                 witness = bounded_search(score_set, args.max_m, args.max_n, budget=args.budget)

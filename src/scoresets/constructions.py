@@ -1,14 +1,18 @@
 """Builders that realize prescribed score sets.
 
-Every construction is a block layout.  A builder lists each part as a
-sequence of ``(label, size, score)`` blocks and names the dominated
-rectangles: ``{(u_label, v_label): state}`` means every vertex of the U
-block and every vertex of the V block are joined by an arc in that
-direction.  Partial dominations are separate blocks (``X1_dominated`` /
-``X1_rest``, ``Y0_dominated`` / ``Y0_rest``) placed first in their part,
-so only the lowest-indexed slice is dominated.  ``_assemble`` tiles the
-blocks, fills the rectangles and returns a Realization: the graph, the
-block layout with expected scores, and the requested score set.
+Every construction is a block layout, and a Realization is that layout.
+A builder lists each part as a sequence of ``(label, size, score)``
+blocks and names the dominated rectangles: ``{(u_label, v_label):
+state}`` means every vertex of the U block and every vertex of the V
+block are joined by an arc in that direction.  Partial dominations are
+separate blocks (``X1_dominated`` / ``X1_rest``, ``Y0_dominated`` /
+``Y0_rest``) placed first in their part, so only the lowest-indexed
+slice is dominated.  ``_assemble`` tiles the blocks and refuses layouts
+of more than ``2**28`` pairs, the dense limit, whatever the output will
+be.  ``realize`` verifies the layout itself: a block's score is its
+part offset plus the size-weighted sum of its rectangles, so the audit
+costs O(m + n + rectangles).  ``Realization.graph`` builds the dense
+graph on first use and scores it again against the layout.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -20,11 +24,14 @@ refuses such inputs instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .criteria import check_bipartite_pair
 from .graph_core import ArcState, BipartiteOrientedGraph, Block, ScoreSequencePair, ScoreSet
+from .graph_core import _require_dense
 
 U_TO_V, V_TO_U = ArcState.U_TO_V, ArcState.V_TO_U
+_NET = (0, 1, -1)  # score change of the U end of a pair, by ArcState
 
 # requested values, U blocks, V blocks, dominated rectangles
 Layout = tuple[
@@ -53,22 +60,41 @@ class Family:
 
 @dataclass(frozen=True)
 class Realization:
-    """A constructed graph plus its auditable block layout, and the
-    family ``build`` dispatched on (None from a builder called directly)."""
+    """A block layout (pairs in no listed rectangle have no arc), the requested
+    score set, and the family ``build`` dispatched on (None from a builder called directly)."""
 
-    graph: BipartiteOrientedGraph
     u_blocks: tuple[Block, ...]
     v_blocks: tuple[Block, ...]
+    rects: dict[tuple[str, str], ArcState]
     requested: ScoreSet
     family: Family | None = None
 
+    @property
+    def m(self) -> int:
+        return self.u_blocks[-1].stop
+
+    @property
+    def n(self) -> int:
+        return self.v_blocks[-1].stop
+
+    def scores(self) -> tuple[list[int], list[int]]:
+        """U- and V-scores in vertex order, from the layout: a block scores
+        its part offset plus the size-weighted sum of its rectangles."""
+        u_size = {b.label: b.size for b in self.u_blocks}
+        v_size = {b.label: b.size for b in self.v_blocks}
+        u, v = dict.fromkeys(u_size, self.n), dict.fromkeys(v_size, self.m)
+        for (x, y), state in self.rects.items():
+            u[x] += _NET[state] * v_size[y]
+            v[y] -= _NET[state] * u_size[x]
+        return (
+            [u[b.label] for b in self.u_blocks for _ in b.indices()],
+            [v[b.label] for b in self.v_blocks for _ in b.indices()],
+        )
+
     def verify(self) -> None:
-        """Recompute every promise; raise RealizationError on mismatch."""
-        u_scores, v_scores = self.graph.scores()
-        for part, blocks, scores in (
-            ("U", self.u_blocks, u_scores),
-            ("V", self.v_blocks, v_scores),
-        ):
+        """Recompute every promise from the layout; raise RealizationError on mismatch."""
+        u_scores, v_scores = self.scores()
+        for part, blocks, got in (("U", self.u_blocks, u_scores), ("V", self.v_blocks, v_scores)):
             pos = 0
             for blk in blocks:
                 if blk.start != pos:
@@ -77,16 +103,11 @@ class Realization:
                         f"at {blk.start}, expected {pos}"
                     )
                 pos = blk.stop
-                if blk.score is None:
-                    raise RealizationError(f"block {blk.label} has no expected score")
-                for i, got in enumerate(scores[blk.start : blk.stop], blk.start):
-                    if got != blk.score:
-                        raise RealizationError(
-                            f"{part} vertex {i} in block {blk.label} scores {got}, "
-                            f"expected {blk.score}"
-                        )
-            if pos != len(scores):
-                raise RealizationError(f"{part} blocks cover [0, {pos}), part has {len(scores)}")
+                if blk.size and got[blk.start] != blk.score:
+                    raise RealizationError(
+                        f"{part} block {blk.label} scores {got[blk.start]}, "
+                        f"expected {blk.score}"
+                    )
         got_set = ScoreSet.from_values(u_scores + v_scores)
         if got_set != self.requested:
             raise RealizationError(f"score set is {got_set}, requested {self.requested}")
@@ -95,6 +116,22 @@ class Realization:
             raise RealizationError(
                 f"constructed graph fails the sequence criterion at {verdict.witness}"
             )
+
+    @cached_property
+    def graph(self) -> BipartiteOrientedGraph:
+        """The dense graph, built on first use and re-scored against the layout."""
+        n = self.n
+        g = BipartiteOrientedGraph(self.m, n)
+        rows = {b.label: bytearray(n) for b in self.u_blocks}
+        v_at = {b.label: b for b in self.v_blocks}
+        for (x, y), state in self.rects.items():
+            rows[x][v_at[y].start : v_at[y].stop] = bytes([state]) * v_at[y].size
+        for blk in self.u_blocks:  # every vertex of a U block has the same row
+            for u in blk.indices():
+                g._arcs[u * n : (u + 1) * n] = rows[blk.label]
+        if g.scores() != self.scores():
+            raise RealizationError("the dense graph does not score as its layout")
+        return g
 
     def to_json(self) -> str:
         return self.graph.to_json(u_blocks=self.u_blocks, v_blocks=self.v_blocks)
@@ -115,15 +152,11 @@ def _tile(part: list[tuple[str, int, int]]) -> tuple[Block, ...]:
 
 
 def _assemble(layout: Layout) -> Realization:
-    """Tile both parts, fill every dominated rectangle, wrap the result."""
+    """Tile both parts and wrap the layout, refusing it past the dense limit."""
     values, u, v, rects = layout
-    u_blocks, v_blocks = _tile(u), _tile(v)
-    g = BipartiteOrientedGraph(u_blocks[-1].stop, v_blocks[-1].stop)
-    u_at = {b.label: b.indices() for b in u_blocks}
-    v_at = {b.label: b.indices() for b in v_blocks}
-    for (x, y), state in rects.items():
-        g.set_arcs(u_at[x], v_at[y], state)
-    return Realization(g, u_blocks, v_blocks, ScoreSet(values))
+    result = Realization(_tile(u), _tile(v), rects, ScoreSet(values))
+    _require_dense(result.m, result.n)
+    return result
 
 
 def _singleton(a: int) -> Layout:

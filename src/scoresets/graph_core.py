@@ -25,16 +25,13 @@ class ArcState(IntEnum):
 
 @dataclass(frozen=True)
 class Block:
-    """Contiguous vertex index range [start, stop) within one part.
-
-    ``score`` is the score every vertex of the range is expected to
-    attain, or None for annotation-only blocks.
-    """
+    """Contiguous vertex index range [start, stop) within one part whose
+    every vertex is expected to score ``score``."""
 
     label: str
     start: int
     stop: int
-    score: int | None = None
+    score: int
 
     def __post_init__(self) -> None:
         if self.start < 0 or self.stop < self.start:
@@ -107,12 +104,17 @@ _REVERSE_TABLE = bytes.maketrans(b"\x01\x02", b"\x02\x01")
 _MAX_PAIRS = 2**28
 
 
+def _require_dense(m: int, n: int) -> None:
+    if m * n > _MAX_PAIRS:
+        raise ValueError(f"graph of {m}x{n} has {m * n} pairs, above the dense limit of 2**28")
+
+
 class BipartiteOrientedGraph:
     """Arc-state matrix over parts U (size m) and V (size n).
 
     States are stored row-major: pair (u, v) lives at offset u * n + v.
-    Builders mutate a graph they own via set_arc / set_arcs; every read
-    operation treats the value as immutable.
+    Writers mutate a graph they own via set_arc (or, within the package,
+    the buffer); every read operation treats the value as immutable.
     """
 
     __slots__ = ("m", "n", "_arcs")
@@ -120,10 +122,7 @@ class BipartiteOrientedGraph:
     def __init__(self, m: int, n: int) -> None:
         if m < 1 or n < 1:
             raise ValueError(f"both parts must be nonempty, got m={m}, n={n}")
-        if m * n > _MAX_PAIRS:
-            raise ValueError(
-                f"graph of {m}x{n} has {m * n} pairs, above the dense limit of 2**28"
-            )
+        _require_dense(m, n)
         self.m = m
         self.n = n
         self._arcs = bytearray(m * n)
@@ -154,22 +153,6 @@ class BipartiteOrientedGraph:
         self._check_u(u)
         self._check_v(v)
         self._arcs[u * self.n + v] = int(state)
-
-    def set_arcs(self, us: range, vs: range, state: ArcState) -> None:
-        """Assign every pair in us x vs.  Both ranges must have step 1."""
-        if us.step != 1 or vs.step != 1:
-            raise ValueError("set_arcs requires step-1 ranges")
-        if len(us) == 0 or len(vs) == 0:
-            return
-        self._check_u(us[0])
-        self._check_u(us[-1])
-        self._check_v(vs[0])
-        self._check_v(vs[-1])
-        fill = bytes([int(state)]) * len(vs)
-        n = self.n
-        for u in us:
-            base = u * n
-            self._arcs[base + vs.start : base + vs.stop] = fill
 
     def reverse(self) -> "BipartiteOrientedGraph":
         """New graph with every arc flipped."""

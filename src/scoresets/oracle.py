@@ -38,6 +38,8 @@ def space_size(m: int, n: int) -> int:
 
 
 def _require_range(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError(f"shape ({m}, {n}) has an empty part; both parts need a vertex")
     # scores index bits of int64 set masks, and assignment indices are int64
     if 2 * max(m, n) > 62 or m * n >= 40:
         raise ValueError(
@@ -222,6 +224,8 @@ class RealizabilityCatalog:
             expected = _record(kind, key, witness)
             if json.dumps(rec, sort_keys=True) != json.dumps(expected, sort_keys=True):
                 raise ValueError(f"catalog line {number}: the witness does not reproduce {line}")
+            if key in table:
+                raise ValueError(f"catalog line {number}: {kind} key {rec['key']} is listed twice")
             table[key] = witness
         return catalog
 

@@ -132,6 +132,13 @@ def test_enumerate_budget_exit_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_enumerate_empty_part_exit_1(capsys, m):
+    code, out, err = run(capsys, "enumerate", "--m", m, "--n", "2", "--emit", "sets")
+    assert code == 1 and out == ""
+    assert "empty part" in err
+
+
 def test_enumerate_beyond_int64_exit_1(capsys):
     code, _, err = run(
         capsys, "enumerate", "--m", "1", "--n", "40", "--emit", "sets", "--budget", str(3**40)
@@ -160,12 +167,21 @@ def test_score_dense_limit_exit_1(capsys, monkeypatch):
     assert "dense limit" in err
 
 
-def test_realize_dense_limit_exit_1(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["summary", "json", "dot"])
+def test_realize_dense_limit_exit_1(capsys, monkeypatch, fmt):
     _refuse_large_buffers(monkeypatch)
     values = ",".join(str(3**k) for k in range(11))  # geometric(1, 3, 10): 44287 x 44287
-    code, out, err = run(capsys, "realize", "--set", values)
+    code, out, err = run(capsys, "realize", "--set", values, "--format", fmt)
     assert code == 1 and out == ""
     assert "dense limit" in err
+
+
+def test_realize_summary_allocates_no_dense_graph(capsys, monkeypatch):
+    _refuse_large_buffers(monkeypatch)
+    values = ",".join(str(3**k) for k in range(9))  # geometric(1, 3, 8): 4921 x 4921
+    code, out, _ = run(capsys, "realize", "--set", values)
+    assert code == 0
+    assert "m = 4921, n = 4921" in out
 
 
 def test_search_negative_answer_exits_zero(capsys):

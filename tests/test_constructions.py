@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from scoresets.constructions import (
     realize,
 )
 from scoresets.criteria import check_bipartite_pair
-from scoresets.graph_core import ArcState, ScoreSet
+from scoresets.graph_core import ArcState, BipartiteOrientedGraph, ScoreSet
 from scoresets.oracle import bounded_search
 
 
@@ -374,9 +375,29 @@ def test_realize_refuses_zero_and_empty():
 
 def test_verify_catches_tampering():
     r = build_singleton(2)
-    r.graph.set_arc(0, 0, ArcState.ABSENT)
+    r.verify()
+    for key, state in [
+        (("X1", "Y1"), ArcState.ABSENT),  # the rectangle loses its arcs
+        (("X1", "Y2"), ArcState.U_TO_V),  # the rectangle is reversed
+    ]:
+        tampered = replace(r, rects={**r.rects, key: state})
+        with pytest.raises(RealizationError):
+            tampered.verify()
+
+
+def test_graph_catches_a_fill_that_disagrees_with_the_layout(monkeypatch):
+    import scoresets.constructions as constructions
+
+    class Corrupted(BipartiteOrientedGraph):
+        def scores(self):  # called on the filled graph, before it is returned
+            self.set_arc(0, 0, ArcState.ABSENT)
+            return super().scores()
+
+    monkeypatch.setattr(constructions, "BipartiteOrientedGraph", Corrupted)
+    r = build_singleton(2)
+    r.verify()  # the layout itself is sound
     with pytest.raises(RealizationError):
-        r.verify()
+        r.graph
 
 
 # ---------------------------------------------------------- golden output
@@ -438,6 +459,20 @@ def test_realize_output_matches_golden_digest(branch):
     r = realize(ScoreSet(values))
     assert hashlib.sha256(r.to_json().encode()).hexdigest() == json_digest
     assert hashlib.sha256(r.to_dot().encode()).hexdigest() == dot_digest
+
+
+@pytest.mark.parametrize(
+    "values",
+    [values for values, _, _ in GOLDEN.values()] + [(1,), (1, 2), (1, 2, 4), (2, 3, 6)],
+)
+def test_layout_scores_equal_dense_scores(values):
+    # every builder branch, plus layouts with empty blocks: X1, X2, Y1, Y2
+    # of {1} and {1, 2}, X1_rest of the narrow triples {1, 2, 4} and {2, 3, 6}
+    r = realize(ScoreSet(values))
+    g = r.graph
+    per_vertex = ([g.score_u(u) for u in range(g.m)], [g.score_v(v) for v in range(g.n)])
+    assert r.scores() == g.scores() == per_vertex
+    assert (r.m, r.n) == (g.m, g.n)
 
 
 # ------------------------------------------------- oracle cross-verification

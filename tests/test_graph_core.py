@@ -52,18 +52,6 @@ def test_set_arc_bounds():
         g.score_v(-2)
 
 
-def test_set_arcs_matches_pointwise_loop():
-    bulk = BipartiteOrientedGraph(4, 5)
-    slow = BipartiteOrientedGraph(4, 5)
-    bulk.set_arcs(range(1, 3), range(2, 5), ArcState.V_TO_U)
-    for u in range(1, 3):
-        for v in range(2, 5):
-            slow.set_arc(u, v, ArcState.V_TO_U)
-    assert bulk == slow
-    bulk.set_arcs(range(0, 0), range(0, 5), ArcState.U_TO_V)  # empty is a no-op
-    assert bulk == slow
-
-
 def test_scores_on_single_pair():
     g = BipartiteOrientedGraph(1, 1)
     g.set_arc(0, 0, ArcState.U_TO_V)

@@ -276,6 +276,24 @@ def test_from_jsonl_rejects_tampered_records():
         RealizabilityCatalog.from_jsonl("[1]\n")
 
 
+def test_from_jsonl_rejects_duplicate_keys():
+    # {0,1,3} at 1x2: index 1 (u->v0) and index 3 (u->v1) both reproduce the key
+    first, second = (
+        json.dumps({"kind": "set", "key": [0, 1, 3], "m": 1, "n": 2, "index": index})
+        for index in ("1", "3")
+    )
+    for line, index in ((first, 1), (second, 3)):
+        assert RealizabilityCatalog.from_jsonl(line).sets == {(0, 1, 3): Witness(1, 2, index)}
+    with pytest.raises(ValueError, match="line 2"):
+        RealizabilityCatalog.from_jsonl(first + "\n" + second + "\n")
+
+
+def test_empty_parts_are_rejected():
+    for m, n in [(0, 2), (2, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="empty part"):
+            catalog_for_shape(m, n)
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
