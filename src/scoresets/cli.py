@@ -20,6 +20,7 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     EnumerationSpace,
+    _shapes,
     bounded_search,
     catalog_for_shape,
 )
@@ -249,6 +250,7 @@ def _cmd_conjecture_scan(args: argparse.Namespace) -> int:
     top = args.max_value
     if top < 1:
         raise ValueError("--max-value must be at least 1")
+    _shapes(args.max_m, args.max_n, args.budget)  # bad bounds fail before the first line
     tallies = {"constructed": 0, "oracle-witnessed": 0, "unknown within bounds": 0}
     for size in range(1, top + 1):
         for values in combinations(range(1, top + 1), size):

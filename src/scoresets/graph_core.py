@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 class ArcState(IntEnum):
     """State of a single (u, v) pair.  Values double as base-3 digits."""
@@ -100,6 +102,10 @@ class ScoreSet:
 
 
 _REVERSE_TABLE = bytes.maketrans(b"\x01\x02", b"\x02\x01")
+# indexed by ArcState: the pair's net share of its U-vertex's score
+_NET = np.array([0, 1, -1], dtype=np.int8)
+_DIRS = (None, "uv", "vu")
+_DIR_STATES = {"uv": 1, "vu": 2}
 # one byte per pair: the largest arc buffer a graph may allocate is 256 MiB
 _MAX_PAIRS = 2**28
 
@@ -172,12 +178,11 @@ class BipartiteOrientedGraph:
 
     def scores(self) -> tuple[list[int], list[int]]:
         """U-scores and V-scores, each in vertex order."""
-        m, n, arcs = self.m, self.n, self._arcs
-        rows = (arcs[u * n : (u + 1) * n] for u in range(m))
-        cols = (arcs[v::n] for v in range(n))
+        m, n = self.m, self.n
+        net = _NET[np.frombuffer(self._arcs, dtype=np.uint8).reshape(m, n)]
         return (
-            [n + row.count(1) - row.count(2) for row in rows],
-            [m + col.count(2) - col.count(1) for col in cols],
+            (n + net.sum(axis=1, dtype=np.int64)).tolist(),
+            (m - net.sum(axis=0, dtype=np.int64)).tolist(),
         )
 
     def score_sequences(self) -> ScoreSequencePair:
@@ -190,10 +195,15 @@ class BipartiteOrientedGraph:
 
     def arcs(self) -> Iterator[tuple[int, int, ArcState]]:
         """Non-absent pairs in row-major (u, v) order."""
-        n = self.n
-        for pos, state in enumerate(self._arcs):
-            if state:
-                yield pos // n, pos % n, ArcState(state)
+        for u, v, state in zip(*self._present()):
+            yield u, v, ArcState(state)
+
+    def _present(self) -> tuple[list[int], list[int], list[int]]:
+        """u, v and state lists of the non-absent pairs, row-major."""
+        buf = np.frombuffer(self._arcs, dtype=np.uint8)
+        pos = np.flatnonzero(buf)
+        u, v = np.divmod(pos, self.n)
+        return u.tolist(), v.tolist(), buf[pos].tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteOrientedGraph):
@@ -213,17 +223,17 @@ class BipartiteOrientedGraph:
         v_blocks: Sequence[Block] | None = None,
     ) -> str:
         """Serialize to the canonical JSON document (absent pairs omitted)."""
-        arcs = [
-            {"u": u, "v": v, "dir": "uv" if s is ArcState.U_TO_V else "vu"}
-            for u, v, s in self.arcs()
-        ]
-        doc: dict = {"m": self.m, "n": self.n, "arcs": arcs}
+        arcs = ",".join(
+            [f'{{"u":{u},"v":{v},"dir":"{_DIRS[s]}"}}' for u, v, s in zip(*self._present())]
+        )
+        text = f'{{"m":{self.m},"n":{self.n},"arcs":[{arcs}]'
         if u_blocks is not None or v_blocks is not None:
-            doc["blocks"] = {
+            blocks = {
                 "U": [_block_doc(b) for b in (u_blocks or ())],
                 "V": [_block_doc(b) for b in (v_blocks or ())],
             }
-        return json.dumps(doc, separators=(",", ":"))
+            text += ',"blocks":' + json.dumps(blocks, separators=(",", ":"))
+        return text + "}"
 
     @classmethod
     def from_json(cls, text: str) -> "BipartiteOrientedGraph":
@@ -242,24 +252,23 @@ class BipartiteOrientedGraph:
         entries = doc.get("arcs")
         if not isinstance(entries, list):
             raise ValueError("field 'arcs' must be a list")
-        seen: set[tuple[int, int]] = set()
+        buf = g._arcs  # a nonzero byte marks a pair already listed
         for entry in entries:
-            if not isinstance(entry, dict):
+            if type(entry) is not dict:
                 raise ValueError(f"arc entry must be an object: {entry!r}")
             u, v, direction = entry.get("u"), entry.get("v"), entry.get("dir")
-            if not _is_int(u) or not _is_int(v):
+            if type(u) is not int or type(v) is not int:
                 raise ValueError(f"arc indices must be integers: {entry!r}")
             if not (0 <= u < m and 0 <= v < n):
                 raise ValueError(f"arc indices out of range: {entry!r}")
-            if (u, v) in seen:
+            pos = u * n + v
+            if buf[pos]:
                 raise ValueError(f"pair ({u}, {v}) listed more than once")
-            seen.add((u, v))
-            if direction == "uv":
-                g.set_arc(u, v, ArcState.U_TO_V)
-            elif direction == "vu":
-                g.set_arc(u, v, ArcState.V_TO_U)
-            else:
+            # a list or object "dir" is unhashable
+            state = _DIR_STATES.get(direction) if type(direction) is str else None
+            if state is None:
                 raise ValueError(f"arc dir must be 'uv' or 'vu': {entry!r}")
+            buf[pos] = state
         return g
 
     def to_dot(
@@ -282,11 +291,10 @@ class BipartiteOrientedGraph:
         for v in range(self.n):
             lines.append(_node_line("v", v, v_label.get(v)))
         lines.append("  }")
-        for u, v, s in self.arcs():
-            if s is ArcState.U_TO_V:
-                lines.append(f"  u{u} -> v{v};")
-            else:
-                lines.append(f"  v{v} -> u{u};")
+        lines.extend(
+            f"  u{u} -> v{v};" if s == 1 else f"  v{v} -> u{u};"
+            for u, v, s in zip(*self._present())
+        )
         lines.append("}")
         return "\n".join(lines) + "\n"
 

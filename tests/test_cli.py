@@ -233,6 +233,19 @@ def test_conjecture_scan_unknown_within_tight_bounds(capsys):
     assert lines["{1,2,3,4,5}"].startswith("constructed")
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("--max-value", "4", "--max-m", "0", "--max-n", "3"), 1),
+        (("--max-value", "5", "--max-m", "0", "--max-n", "3"), 1),
+        (("--max-value", "5", "--max-m", "2", "--max-n", "2", "--budget", "10"), 3),
+    ],
+)
+def test_conjecture_scan_checks_bounds_before_output(capsys, argv, code):
+    # every shape within the bounds is checked before the first line
+    assert run(capsys, "conjecture-scan", *argv)[:2] == (code, "")
+
+
 def test_unknown_command_and_flags_exit_1(capsys):
     code, _, err = run(capsys, "no-such-command")
     assert code == 1 and "error" in err

@@ -1,5 +1,7 @@
 import json
+import re
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -68,6 +70,18 @@ def test_scores_on_empty_graph():
     assert [g.score_v(v) for v in range(2)] == [2, 2]
 
 
+@pytest.mark.parametrize(
+    "state,u_score,v_score", [(ArcState.U_TO_V, 600, 0), (ArcState.V_TO_U, 0, 600)]
+)
+def test_scores_of_complete_300x300(state, u_score, v_score):
+    # 300 arcs per vertex overflow an 8-bit accumulator
+    g = BipartiteOrientedGraph(300, 300)
+    for u in range(300):
+        for v in range(300):
+            g.set_arc(u, v, state)
+    assert g.scores() == ([u_score] * 300, [v_score] * 300)
+
+
 def test_score_sequences_trivial():
     g = BipartiteOrientedGraph(1, 1)
     assert g.score_sequences() == ScoreSequencePair((1,), (1,))
@@ -99,23 +113,117 @@ def test_json_duplicate_pair_rejected():
         BipartiteOrientedGraph.from_json(doc)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        "not json",
-        "[1,2]",
-        '{"m":1,"arcs":[]}',
+MALFORMED_DOCUMENTS = [
+    ("not json", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1,2]", "graph document must be a JSON object"),
+    ('{"m":1,"arcs":[]}', "fields 'm' and 'n' must be integers"),
+    (
         '{"m":1,"n":1,"arcs":[{"u":0,"v":1,"dir":"uv"}]}',
+        "arc indices out of range: {'u': 0, 'v': 1, 'dir': 'uv'}",
+    ),
+    (
         '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":"sideways"}]}',
-        '{"m":1,"n":1,"arcs":[[0,0,"uv"]]}',
-        '{"m":0,"n":1,"arcs":[]}',
-        '{"m":true,"n":1,"arcs":[]}',
-        '{"m":1,"n":1,"arcs":{}}',
-    ],
+        "arc dir must be 'uv' or 'vu': {'u': 0, 'v': 0, 'dir': 'sideways'}",
+    ),
+    ('{"m":1,"n":1,"arcs":[[0,0,"uv"]]}', "arc entry must be an object: [0, 0, 'uv']"),
+    ('{"m":0,"n":1,"arcs":[]}', "both parts must be nonempty, got m=0, n=1"),
+    ('{"m":true,"n":1,"arcs":[]}', "fields 'm' and 'n' must be integers"),
+    ('{"m":1,"n":1,"arcs":{}}', "field 'arcs' must be a list"),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":true,"v":0,"dir":"uv"}]}',
+        "arc indices must be integers: {'u': True, 'v': 0, 'dir': 'uv'}",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":0.0,"v":0,"dir":"uv"}]}',
+        "arc indices must be integers: {'u': 0.0, 'v': 0, 'dir': 'uv'}",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":"up"},{"u":0,"v":0,"dir":"uv"}]}',
+        "arc dir must be 'uv' or 'vu': {'u': 0, 'v': 0, 'dir': 'up'}",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":"uv"},{"u":0,"v":0,"dir":"up"}]}',
+        "pair (0, 0) listed more than once",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":["uv"]}]}',
+        "arc dir must be 'uv' or 'vu': {'u': 0, 'v': 0, 'dir': ['uv']}",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,message", MALFORMED_DOCUMENTS, ids=[doc for doc, _ in MALFORMED_DOCUMENTS]
 )
-def test_json_malformed_documents_rejected(doc):
-    with pytest.raises(ValueError):
+def test_json_malformed_documents_rejected(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BipartiteOrientedGraph.from_json(doc)
+
+
+def reference_arcs(g):
+    return [
+        (u, v, g.arc(u, v))
+        for u in range(g.m)
+        for v in range(g.n)
+        if g.arc(u, v) is not ArcState.ABSENT
+    ]
+
+
+def reference_json(g, u_blocks, v_blocks):
+    arcs = [
+        {"u": u, "v": v, "dir": "uv" if s is ArcState.U_TO_V else "vu"}
+        for u, v, s in reference_arcs(g)
+    ]
+    doc = {"m": g.m, "n": g.n, "arcs": arcs}
+    if u_blocks is not None or v_blocks is not None:
+        doc["blocks"] = {
+            part: [{"label": b.label, "from": b.start, "to": b.stop} for b in blocks or ()]
+            for part, blocks in (("U", u_blocks), ("V", v_blocks))
+        }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def reference_dot(g, u_blocks, v_blocks):
+    lines = ["digraph {"]
+    for part, prefix, size, blocks in (("U", "u", g.m, u_blocks), ("V", "v", g.n, v_blocks)):
+        labels = {i: b.label for b in blocks or () for i in b.indices()}
+        lines += [f"  subgraph cluster_{part} {{", f'    label="{part}";']
+        for i in range(size):
+            name = f"{prefix}{i}"
+            if i in labels:
+                lines.append(f'    {name} [label="{name}\\n{labels[i]}"];')
+            else:
+                lines.append(f"    {name};")
+        lines.append("  }")
+    for u, v, s in reference_arcs(g):
+        lines.append(f"  u{u} -> v{v};" if s is ArcState.U_TO_V else f"  v{v} -> u{u};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def block_lists(draw, size, prefix):
+    """None, or consecutive blocks over a subrange of [0, size)."""
+    if draw(st.booleans()):
+        return None
+    cuts = sorted(draw(st.sets(st.integers(0, size), max_size=size + 1)))
+    labels = st.text(alphabet="XYé\"1", min_size=1, max_size=3)
+    return [
+        Block(f"{prefix}{draw(labels)}", lo, hi, draw(st.integers(0, 12)))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+
+@given(st.data())
+def test_serialization_matches_reference(data):
+    g = data.draw(graphs(max_m=6, max_n=6))
+    u_blocks = data.draw(block_lists(g.m, "X"))
+    v_blocks = data.draw(block_lists(g.n, "Y"))
+    assert list(g.arcs()) == reference_arcs(g)
+    text = g.to_json(u_blocks=u_blocks, v_blocks=v_blocks)
+    assert text == reference_json(g, u_blocks, v_blocks)
+    assert g.to_dot(u_blocks=u_blocks, v_blocks=v_blocks) == reference_dot(g, u_blocks, v_blocks)
+    assert BipartiteOrientedGraph.from_json(text) == g
 
 
 def test_json_blocks_follow_schema():
