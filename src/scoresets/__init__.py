@@ -37,7 +37,6 @@ from .oracle import (
     bounded_search,
     catalog_for_shape,
     criterion_equivalence,
-    enumerate_graphs,
     realizable_sets_up_to,
     space_size,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "check_oriented_scores",
     "classify",
     "criterion_equivalence",
-    "enumerate_graphs",
     "realizable_sets_up_to",
     "realize",
     "space_size",

@@ -23,6 +23,7 @@ refuses such inputs instead of guessing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -159,6 +160,16 @@ def _assemble(layout: Layout) -> Realization:
     return result
 
 
+def _ladder(u_indices: Sequence[int], v_indices: Sequence[int]) -> dict[tuple[str, str], ArcState]:
+    """Rectangles X<i> against Y<j> for i != j: the higher index wins."""
+    return {
+        (f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U
+        for i in u_indices
+        for j in v_indices
+        if i != j
+    }
+
+
 def _singleton(a: int) -> Layout:
     """{a} on parts of size a each.
 
@@ -275,13 +286,7 @@ def _geometric_ratio2(a: int, n: int) -> Layout:
     v_indices = [0, 2, *range(3, n + 1)]
     u = [(f"X{i}", size[i], 2**i * a) for i in u_indices]
     v = [(f"Y{j}", size[j], 2**j * a) for j in v_indices]
-    rects = {
-        (f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U
-        for i in u_indices
-        for j in v_indices
-        if i != j
-    }
-    return tuple(a * 2**i for i in range(n + 1)), u, v, rects
+    return tuple(a * 2**i for i in range(n + 1)), u, v, _ladder(u_indices, v_indices)
 
 
 def _arithmetic(a: int, d: int, n: int) -> Layout:
@@ -305,13 +310,7 @@ def _arithmetic_wide(a: int, d: int, n: int) -> Layout:
     width = [a if i % 2 == 0 else d - a for i in range(n + 1)]
     u = [(f"X{i}", width[i], a + i * d) for i in range(n + 1)]
     v = [(f"Y{i}", width[i], a + i * d) for i in range(n + 1)]
-    rects = {
-        (f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U
-        for i in range(n + 1)
-        for j in range(n + 1)
-        if i != j
-    }
-    return tuple(a + i * d for i in range(n + 1)), u, v, rects
+    return tuple(a + i * d for i in range(n + 1)), u, v, _ladder(range(n + 1), range(n + 1))
 
 
 def _arithmetic_equal(a: int, n: int) -> Layout:
@@ -319,25 +318,18 @@ def _arithmetic_equal(a: int, n: int) -> Layout:
 
     U holds block 0 plus the odd-indexed blocks up to 2k-1, V holds the
     even-indexed blocks (up to 2k-2 for odd n, 2k for even n), all of
-    size a.  Higher index beats lower except that block X0 is never
-    beaten; X0 scores k*a for odd n and (k+1)*a for even n, every other
-    block with index i scores (i+1)*a.
+    size a.  Higher index beats lower, except that block X0 is in no
+    rectangle; X0 scores k*a for odd n and (k+1)*a for even n, every
+    other block with index i scores (i+1)*a.
     """
     if n == 0:
         return _singleton(a)
     k = (n + 1) // 2
     x0_score = k * a if n % 2 else (k + 1) * a
-    u_indices = [0, *range(1, 2 * k, 2)]
-    v_indices = range(0, n + 1, 2)
-    u = [("X0", a, x0_score)] + [(f"X{i}", a, (i + 1) * a) for i in u_indices[1:]]
-    v = [(f"Y{j}", a, (j + 1) * a) for j in v_indices]
-    rects = {
-        (f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U
-        for i in u_indices
-        for j in v_indices
-        if i > j or j > i > 0
-    }
-    return tuple(a * (i + 1) for i in range(n + 1)), u, v, rects
+    odd, even = range(1, 2 * k, 2), range(0, n + 1, 2)
+    u = [("X0", a, x0_score)] + [(f"X{i}", a, (i + 1) * a) for i in odd]
+    v = [(f"Y{j}", a, (j + 1) * a) for j in even]
+    return tuple(a * (i + 1) for i in range(n + 1)), u, v, _ladder(odd, even)
 
 
 def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
@@ -362,7 +354,7 @@ def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
     y0_rest_score = a + k * d if n % 2 == 0 else a + (k + 1) * d
     v = [("Y0_dominated", d, a + d), ("Y0_rest", a - d, y0_rest_score)]
     v += [(f"Y{j}", d, a + j * d) for j in even]
-    rects = {(f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U for i in odd for j in even}
+    rects = _ladder(odd, even)
     rects.update({(f"X{i}", "Y0_dominated"): U_TO_V for i in odd if i >= 3})
     return tuple(a + i * d for i in range(n + 1)), u, v, rects
 

@@ -246,7 +246,7 @@ class BipartiteOrientedGraph:
             raise ValueError("graph document must be a JSON object")
         m = doc.get("m")
         n = doc.get("n")
-        if not _is_int(m) or not _is_int(n):
+        if type(m) is not int or type(n) is not int:
             raise ValueError("fields 'm' and 'n' must be integers")
         g = cls(m, n)
         entries = doc.get("arcs")
@@ -297,10 +297,6 @@ class BipartiteOrientedGraph:
         )
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _block_doc(block: Block) -> dict:

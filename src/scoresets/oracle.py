@@ -17,16 +17,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .criteria import check_bipartite_pair
-from .graph_core import BipartiteOrientedGraph, ScoreSequencePair, ScoreSet, _is_int
+from .graph_core import _NET, BipartiteOrientedGraph, ScoreSequencePair, ScoreSet
 
 DEFAULT_BUDGET = 3**16
 _CHUNK = 1 << 18
-_NET = np.array([0, 1, -1], dtype=np.int16)  # score contribution per digit
 
 
 class BudgetExceededError(RuntimeError):
@@ -67,8 +66,7 @@ class EnumerationSpace:
     n: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError("both parts must be nonempty")
+        _require_range(self.m, self.n)
 
     @property
     def total(self) -> int:
@@ -91,24 +89,6 @@ class EnumerationSpace:
         for state in reversed(graph._arcs):
             index = index * 3 + state
         return index
-
-
-def enumerate_graphs(
-    m: int,
-    n: int,
-    visitor: Callable[[BipartiteOrientedGraph], None],
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Visit every assignment of shape (m, n) in ascending index order.
-
-    Returns the number of visits.
-    """
-    total = _require_budget(m, n, budget)
-    space = EnumerationSpace(m, n)
-    for index in range(total):
-        visitor(space.decode(index))
-    return total
 
 
 def _chunk_scores(m: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +190,7 @@ class RealizabilityCatalog:
                 raise ValueError(f"catalog line {number} is malformed: {exc}") from None
             if kind not in ("set", "pair"):
                 raise ValueError(f"catalog line {number}: unknown record kind: {kind!r}")
-            if not _is_int(m) or not _is_int(n):
+            if type(m) is not int or type(n) is not int:
                 raise ValueError(f"catalog line {number}: 'm' and 'n' must be integers")
             _require_range(m, n)
             witness = Witness(m, n, index)
@@ -322,9 +302,15 @@ class EquivalenceReport:
 
     m: int
     n: int
-    necessity_ok: bool
-    sufficiency_ok: bool
     counterexamples: list[tuple[str, tuple[int, ...], tuple[int, ...]]]
+
+    @property
+    def necessity_ok(self) -> bool:
+        return all(kind != "necessity" for kind, _, _ in self.counterexamples)
+
+    @property
+    def sufficiency_ok(self) -> bool:
+        return all(kind != "sufficiency" for kind, _, _ in self.counterexamples)
 
 
 def criterion_equivalence(
@@ -350,6 +336,4 @@ def criterion_equivalence(
                 continue
             if check_bipartite_pair(ScoreSequencePair(a, b)).valid:
                 counterexamples.append(("sufficiency", a, b))
-    necessity_ok = all(kind != "necessity" for kind, _, _ in counterexamples)
-    sufficiency_ok = all(kind != "sufficiency" for kind, _, _ in counterexamples)
-    return EquivalenceReport(m, n, necessity_ok, sufficiency_ok, counterexamples)
+    return EquivalenceReport(m, n, counterexamples)

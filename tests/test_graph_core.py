@@ -128,6 +128,7 @@ MALFORMED_DOCUMENTS = [
     ('{"m":1,"n":1,"arcs":[[0,0,"uv"]]}', "arc entry must be an object: [0, 0, 'uv']"),
     ('{"m":0,"n":1,"arcs":[]}', "both parts must be nonempty, got m=0, n=1"),
     ('{"m":true,"n":1,"arcs":[]}', "fields 'm' and 'n' must be integers"),
+    ('{"m":1,"n":2.0,"arcs":[]}', "fields 'm' and 'n' must be integers"),
     ('{"m":1,"n":1,"arcs":{}}', "field 'arcs' must be a list"),
     (
         '{"m":1,"n":1,"arcs":[{"u":true,"v":0,"dir":"uv"}]}',

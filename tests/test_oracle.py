@@ -16,18 +16,16 @@ from scoresets.oracle import (
     bounded_search,
     catalog_for_shape,
     criterion_equivalence,
-    enumerate_graphs,
     realizable_sets_up_to,
     space_size,
 )
 
 
-def test_enumeration_counts():
-    counts = []
-    assert enumerate_graphs(1, 1, lambda g: counts.append(1)) == 3
-    assert sum(counts) == 3
-    assert enumerate_graphs(2, 2, lambda g: None) == 81
-    assert enumerate_graphs(3, 3, lambda g: None) == 19683
+def every_graph(m, n):
+    """Reference lane: every assignment of shape (m, n) in ascending
+    index order, decoded one index at a time."""
+    space = EnumerationSpace(m, n)
+    return (space.decode(index) for index in range(space.total))
 
 
 def test_decode_encode_round_trip_exhaustive():
@@ -120,17 +118,10 @@ def test_visitor_and_vectorized_lanes_agree():
     m, n = 2, 3
     sets = {}
     pairs = {}
-
-    index = 0
-
-    def visit(g):
-        nonlocal index
+    for index, g in enumerate(every_graph(m, n)):
         sets.setdefault(g.score_set().values, Witness(m, n, index))
         pair = g.score_sequences()
         pairs.setdefault((pair.a, pair.b), Witness(m, n, index))
-        index += 1
-
-    enumerate_graphs(m, n, visit)
     catalog = catalog_for_shape(m, n)
     assert catalog.sets == sets
     assert catalog.pairs == pairs
@@ -168,6 +159,13 @@ def test_criterion_equivalence_small_shapes():
         assert report.necessity_ok and report.sufficiency_ok
 
 
+def test_report_flags_follow_the_counterexamples():
+    report = criterion_equivalence(2, 2)
+    report.counterexamples.append(("sufficiency", (), ()))
+    assert not report.sufficiency_ok
+    assert report.necessity_ok
+
+
 def test_criterion_equivalence_1x1_passing_pairs():
     from itertools import combinations_with_replacement
 
@@ -185,15 +183,15 @@ def test_criterion_equivalence_1x1_passing_pairs():
 
 def test_budget_enforcement():
     with pytest.raises(BudgetExceededError):
-        enumerate_graphs(5, 4, lambda g: None)
+        catalog_for_shape(5, 4)
     with pytest.raises(BudgetExceededError):
-        enumerate_graphs(1, 1, lambda g: None, budget=2)
+        catalog_for_shape(1, 1, budget=2)
     with pytest.raises(BudgetExceededError):
         bounded_search(ScoreSet((1,)), 5, 4)
     with pytest.raises(BudgetExceededError):
         realizable_sets_up_to(4, 5)
     # raising the budget admits the shape
-    assert enumerate_graphs(1, 1, lambda g: None, budget=3) == 3
+    assert sorted(catalog_for_shape(1, 1, budget=3).sets) == [(0, 2), (1,)]
 
 
 @pytest.mark.parametrize("m,n", [(1, 40), (5, 8), (32, 1), (1, 32)])
@@ -207,7 +205,7 @@ def test_shapes_beyond_int64_rejected_before_any_allocation(m, n, monkeypatch):
     monkeypatch.setattr(oracle.EnumerationSpace, "decode", no_scan)
     budget = space_size(m, n)  # the budget admits the shape; the int64 range does not
     calls = [
-        lambda: enumerate_graphs(m, n, lambda g: None, budget=budget),
+        lambda: EnumerationSpace(m, n),
         lambda: catalog_for_shape(m, n, budget=budget),
         lambda: criterion_equivalence(m, n, budget=budget),
         lambda: bounded_search(ScoreSet((1,)), m, n, budget=budget),
@@ -219,18 +217,14 @@ def test_shapes_beyond_int64_rejected_before_any_allocation(m, n, monkeypatch):
 
 
 def test_score_bound_saturation_1x1():
-    u_scores = set()
-    enumerate_graphs(1, 1, lambda g: u_scores.add(g.score_u(0)))
-    assert u_scores == {0, 1, 2}
+    assert {g.score_u(0) for g in every_graph(1, 1)} == {0, 1, 2}
 
 
 def test_handshake_on_enumerated_graphs():
-    def check(g):
+    for g in every_graph(2, 2):
         total = sum(g.score_u(u) for u in range(g.m))
         total += sum(g.score_v(v) for v in range(g.n))
         assert total == 2 * g.m * g.n
-
-    enumerate_graphs(2, 2, check)
 
 
 def test_jsonl_round_trip_and_ordering():
@@ -265,6 +259,8 @@ def test_from_jsonl_rejects_tampered_records():
         {**good, "key": [True if v == 1 else v for v in good["key"]]},
         {**good, "m": 0},
         {**good, "m": 40},
+        {**good, "m": True},
+        {**good, "n": 2.0},
     ]
     for record in tampered:
         line = json.dumps(record, separators=(",", ":"))
@@ -292,6 +288,8 @@ def test_empty_parts_are_rejected():
     for m, n in [(0, 2), (2, 0), (-1, 2)]:
         with pytest.raises(ValueError, match="empty part"):
             catalog_for_shape(m, n)
+        with pytest.raises(ValueError, match="empty part"):
+            EnumerationSpace(m, n)
 
 
 def _sha256(text: str) -> str:

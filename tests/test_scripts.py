@@ -12,15 +12,6 @@ def run_script(name, argv, monkeypatch, capsys):
     return capsys.readouterr().out.splitlines()
 
 
-def test_progression_gallery(monkeypatch, capsys):
-    lines = run_script("progression_gallery.py", [], monkeypatch, capsys)
-    assert len(lines) == 10
-    for line in lines:
-        fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
-        if fields["closed-form"] != "-":
-            assert fields["m"] == fields["n"] == fields["closed-form"], line
-
-
 def test_remark_census(monkeypatch, capsys):
     argv = ["--max-m", "2", "--max-n", "2", "--max-value", "3"]
     lines = run_script("remark_census.py", argv, monkeypatch, capsys)
