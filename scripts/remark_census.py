@@ -10,7 +10,16 @@ stay unrealized no matter how far the bounds are pushed.
 import argparse
 from itertools import combinations
 
-from scoresets.oracle import realizable_sets_up_to
+from scoresets import oracle
+
+
+def realized_sets(max_m: int, max_n: int) -> set[tuple[int, ...]]:
+    """Score sets attained at some shape within the bounds.  Only the
+    set lane is scanned; bounds and budget are checked before any scan."""
+    sets = set()
+    for m, n in oracle._shapes(max_m, max_n, oracle.DEFAULT_BUDGET):
+        sets.update(oracle.catalog_for_shape(m, n, pairs=False).sets)
+    return sets
 
 
 def main() -> int:
@@ -20,9 +29,9 @@ def main() -> int:
     parser.add_argument("--max-value", type=int, default=4)
     args = parser.parse_args()
 
-    catalog = realizable_sets_up_to(args.max_m, args.max_n)
+    realized = realized_sets(args.max_m, args.max_n)
     print(
-        f"{len(catalog.sets)} score sets realized by graphs with "
+        f"{len(realized)} score sets realized by graphs with "
         f"m <= {args.max_m}, n <= {args.max_n}"
     )
 
@@ -30,7 +39,7 @@ def main() -> int:
     missing = []
     for size in range(1, args.max_value + 2):
         for values in combinations(universe, size):
-            if values not in catalog.sets:
+            if values not in realized:
                 missing.append(values)
     print(f"{len(missing)} candidate subsets of {{0..{args.max_value}}} unrealized:")
     for values in missing:

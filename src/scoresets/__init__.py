@@ -19,11 +19,6 @@ from .constructions import (
     RealizationError,
     UnsupportedScoreSetError,
     build,
-    build_arithmetic,
-    build_doubleton,
-    build_geometric,
-    build_singleton,
-    build_triple,
     classify,
     realize,
 )
@@ -63,11 +58,6 @@ __all__ = [
     "Witness",
     "bounded_search",
     "build",
-    "build_arithmetic",
-    "build_doubleton",
-    "build_geometric",
-    "build_singleton",
-    "build_triple",
     "catalog_for_shape",
     "check_bipartite_pair",
     "check_oriented_scores",

@@ -1,18 +1,19 @@
 """Builders that realize prescribed score sets.
 
 Every construction is a block layout, and a Realization is that layout.
-A builder lists each part as a sequence of ``(label, size, score)``
-blocks and names the dominated rectangles: ``{(u_label, v_label):
-state}`` means every vertex of the U block and every vertex of the V
-block are joined by an arc in that direction.  Partial dominations are
-separate blocks (``X1_dominated`` / ``X1_rest``, ``Y0_dominated`` /
-``Y0_rest``) placed first in their part, so only the lowest-indexed
-slice is dominated.  ``_assemble`` tiles the blocks and refuses layouts
-of more than ``2**28`` pairs, the dense limit, whatever the output will
-be.  ``realize`` verifies the layout itself: a block's score is its
-part offset plus the size-weighted sum of its rectangles, so the audit
-costs O(m + n + rectangles).  ``Realization.graph`` builds the dense
-graph on first use and scores it again against the layout.
+``build(Family(name, params))`` is the one way to get one, and it
+records the family.  A builder lists each part as a sequence of
+``(label, size, score)`` blocks and names the dominated rectangles:
+``{(u_label, v_label): state}`` means every vertex of the U block and
+every vertex of the V block are joined by an arc in that direction.
+Partial dominations are separate blocks (``X1_dominated`` / ``X1_rest``,
+``Y0_dominated`` / ``Y0_rest``) placed first in their part, so only the
+lowest-indexed slice is dominated.  ``_assemble`` tiles the blocks and
+refuses layouts of more than ``2**28`` pairs, the dense limit, whatever
+the output will be.  ``realize`` verifies the layout itself: a block's
+score is its part offset plus the size-weighted sum of its rectangles,
+so the audit costs O(m + n + rectangles).  ``Realization.graph`` builds
+the dense graph on first use and scores it again against the layout.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -24,7 +25,7 @@ refuses such inputs instead of guessing.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .criteria import check_bipartite_pair
@@ -62,13 +63,13 @@ class Family:
 @dataclass(frozen=True)
 class Realization:
     """A block layout (pairs in no listed rectangle have no arc), the requested
-    score set, and the family ``build`` dispatched on (None from a builder called directly)."""
+    score set, and the family ``build`` dispatched on."""
 
     u_blocks: tuple[Block, ...]
     v_blocks: tuple[Block, ...]
     rects: dict[tuple[str, str], ArcState]
     requested: ScoreSet
-    family: Family | None = None
+    family: Family
 
     @property
     def m(self) -> int:
@@ -152,10 +153,10 @@ def _tile(part: list[tuple[str, int, int]]) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
-def _assemble(layout: Layout) -> Realization:
+def _assemble(layout: Layout, family: Family) -> Realization:
     """Tile both parts and wrap the layout, refusing it past the dense limit."""
     values, u, v, rects = layout
-    result = Realization(_tile(u), _tile(v), rects, ScoreSet(values))
+    result = Realization(_tile(u), _tile(v), rects, ScoreSet(values), family)
     _require_dense(result.m, result.n)
     return result
 
@@ -359,37 +360,12 @@ def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
     return tuple(a + i * d for i in range(n + 1)), u, v, rects
 
 
-def build_singleton(a: int) -> Realization:
-    """Realize {a} for a >= 1."""
-    return _assemble(_singleton(a))
-
-
-def build_doubleton(a1: int, a2: int) -> Realization:
-    """Realize {a1, a2} with 1 <= a1 < a2."""
-    return _assemble(_doubleton(a1, a2))
-
-
-def build_triple(a1: int, a2: int, a3: int) -> Realization:
-    """Realize {a1, a2, a3} with 1 <= a1 < a2 < a3."""
-    return _assemble(_triple(a1, a2, a3))
-
-
-def build_geometric(a: int, d: int, n: int) -> Realization:
-    """Realize {a, a*d, ..., a*d**n} for integer ratio d >= 2."""
-    return _assemble(_geometric(a, d, n))
-
-
-def build_arithmetic(a: int, d: int, n: int) -> Realization:
-    """Realize {a, a+d, ..., a+n*d} for positive difference d."""
-    return _assemble(_arithmetic(a, d, n))
-
-
 _BUILDERS = {
-    "Singleton": build_singleton,
-    "Doubleton": build_doubleton,
-    "Triple": build_triple,
-    "Geometric": build_geometric,
-    "Arithmetic": build_arithmetic,
+    "Singleton": _singleton,
+    "Doubleton": _doubleton,
+    "Triple": _triple,
+    "Geometric": _geometric,
+    "Arithmetic": _arithmetic,
 }
 
 
@@ -430,7 +406,7 @@ def build(family: Family) -> Realization:
             "or arithmetic progressions; 'scoresets search' looks for a witness "
             "within given part sizes"
         )
-    return replace(builder(*family.params), family=family)
+    return _assemble(builder(*family.params), family)
 
 
 def realize(score_set: ScoreSet) -> Realization:

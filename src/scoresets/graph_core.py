@@ -101,7 +101,6 @@ class ScoreSet:
         return "{" + ",".join(str(v) for v in self.values) + "}"
 
 
-_REVERSE_TABLE = bytes.maketrans(b"\x01\x02", b"\x02\x01")
 # indexed by ArcState: the pair's net share of its U-vertex's score
 _NET = np.array([0, 1, -1], dtype=np.int8)
 _DIRS = (None, "uv", "vu")
@@ -133,14 +132,6 @@ class BipartiteOrientedGraph:
         self.n = n
         self._arcs = bytearray(m * n)
 
-    @classmethod
-    def _from_raw(cls, m: int, n: int, arcs: bytes | bytearray) -> "BipartiteOrientedGraph":
-        g = cls(m, n)
-        if len(arcs) != m * n:
-            raise ValueError("raw arc buffer has the wrong length")
-        g._arcs[:] = arcs
-        return g
-
     def _check_u(self, u: int) -> None:
         if not 0 <= u < self.m:
             raise IndexError(f"u index {u} out of range [0, {self.m})")
@@ -159,12 +150,6 @@ class BipartiteOrientedGraph:
         self._check_u(u)
         self._check_v(v)
         self._arcs[u * self.n + v] = int(state)
-
-    def reverse(self) -> "BipartiteOrientedGraph":
-        """New graph with every arc flipped."""
-        return BipartiteOrientedGraph._from_raw(
-            self.m, self.n, bytes(self._arcs).translate(_REVERSE_TABLE)
-        )
 
     def score_u(self, u: int) -> int:
         self._check_u(u)
@@ -193,11 +178,6 @@ class BipartiteOrientedGraph:
         u_scores, v_scores = self.scores()
         return ScoreSet.from_values(u_scores + v_scores)
 
-    def arcs(self) -> Iterator[tuple[int, int, ArcState]]:
-        """Non-absent pairs in row-major (u, v) order."""
-        for u, v, state in zip(*self._present()):
-            yield u, v, ArcState(state)
-
     def _present(self) -> tuple[list[int], list[int], list[int]]:
         """u, v and state lists of the non-absent pairs, row-major."""
         buf = np.frombuffer(self._arcs, dtype=np.uint8)
@@ -213,7 +193,7 @@ class BipartiteOrientedGraph:
     __hash__ = None  # type: ignore[assignment]  # mutable value
 
     def __repr__(self) -> str:
-        present = sum(1 for s in self._arcs if s)
+        present = len(self._arcs) - self._arcs.count(0)
         return f"BipartiteOrientedGraph(m={self.m}, n={self.n}, arcs={present})"
 
     def to_json(

@@ -75,11 +75,11 @@ class EnumerationSpace:
     def decode(self, index: int) -> BipartiteOrientedGraph:
         if not 0 <= index < self.total:
             raise ValueError(f"index {index} outside [0, {self.total})")
-        buf = bytearray(self.m * self.n)
-        rem = index
+        graph = BipartiteOrientedGraph(self.m, self.n)
+        buf, rem = graph._arcs, index
         for pos in range(len(buf)):
             rem, buf[pos] = divmod(rem, 3)
-        return BipartiteOrientedGraph._from_raw(self.m, self.n, buf)
+        return graph
 
     def encode(self, graph: BipartiteOrientedGraph) -> int:
         if (graph.m, graph.n) != (self.m, self.n):

@@ -10,14 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from scoresets.constructions import (
-    build_arithmetic,
-    build_doubleton,
-    build_geometric,
-    build_singleton,
-    build_triple,
-    realize,
-)
+from scoresets.constructions import Family, build, realize
 from scoresets.criteria import check_bipartite_pair
 from scoresets.graph_core import ScoreSet
 from scoresets.oracle import bounded_search, criterion_equivalence, realizable_sets_up_to
@@ -47,48 +40,28 @@ class GridEntry:
 
 
 def _grid_entries():
-    cases = []
-    for a in range(1, 11):
-        cases.append((f"singleton({a})", (a,), lambda a=a: build_singleton(a)))
+    cases = [(f"singleton({a})", (a,), Family("Singleton", (a,))) for a in range(1, 11)]
     for a1 in range(1, 11):
         for a2 in range(a1 + 1, 11):
-            cases.append(
-                (f"doubleton({a1},{a2})", (a1, a2), lambda a1=a1, a2=a2: build_doubleton(a1, a2))
-            )
+            cases.append((f"doubleton({a1},{a2})", (a1, a2), Family("Doubleton", (a1, a2))))
     for a1, a2, a3 in combinations(range(1, 13), 3):
-        cases.append(
-            (
-                f"triple({a1},{a2},{a3})",
-                (a1, a2, a3),
-                lambda a1=a1, a2=a2, a3=a3: build_triple(a1, a2, a3),
-            )
-        )
+        cases.append((f"triple({a1},{a2},{a3})", (a1, a2, a3), Family("Triple", (a1, a2, a3))))
     for a in range(1, 5):
         for d in range(2, 6):
             for n in range(0, 6):
                 requested = tuple(a * d**i for i in range(n + 1))
-                cases.append(
-                    (
-                        f"geometric({a},{d},{n})",
-                        requested,
-                        lambda a=a, d=d, n=n: build_geometric(a, d, n),
-                    )
-                )
+                cases.append((f"geometric({a},{d},{n})", requested, Family("Geometric", (a, d, n))))
     for a in range(1, 7):
         for d in range(1, 7):
             for n in range(0, 7):
                 requested = tuple(a + i * d for i in range(n + 1))
                 cases.append(
-                    (
-                        f"arithmetic({a},{d},{n})",
-                        requested,
-                        lambda a=a, d=d, n=n: build_arithmetic(a, d, n),
-                    )
+                    (f"arithmetic({a},{d},{n})", requested, Family("Arithmetic", (a, d, n)))
                 )
 
     entries = []
-    for label, requested, make in cases:
-        realization = make()
+    for label, requested, family in cases:
+        realization = build(family)
         g = realization.graph
         pair = g.score_sequences()
         verdict = check_bipartite_pair(pair)
@@ -162,7 +135,7 @@ def test_criterion_5_formula_audits():
 
         expected = doubling_sizes(1, 6)
         assert [expected[i] for i in (3, 4, 5, 6)] == [4, 4, 12, 20]
-        realization = build_geometric(1, 2, 6)
+        realization = build(Family("Geometric", (1, 2, 6)))
         got = {b.label: b.size for b in realization.u_blocks}
         for i in (3, 4, 5, 6):
             assert got[f"X{i}"] == expected[i]
@@ -174,7 +147,7 @@ def test_criterion_5_formula_audits():
         for a in range(1, 7):
             for d in range(a + 1, 7):
                 for n in range(0, 7):
-                    g = build_arithmetic(a, d, n).graph
+                    g = build(Family("Arithmetic", (a, d, n))).graph
                     expected_size = n * d // 2 + a if n % 2 == 0 else (n + 1) * d // 2
                     assert g.m == g.n == expected_size, (a, d, n)
 

@@ -7,11 +7,7 @@ from scoresets.constructions import (
     Family,
     RealizationError,
     UnsupportedScoreSetError,
-    build_arithmetic,
-    build_doubleton,
-    build_geometric,
-    build_singleton,
-    build_triple,
+    build,
     classify,
     realize,
 )
@@ -28,7 +24,7 @@ def block_sizes(blocks):
 
 
 def test_singleton_even():
-    r = build_singleton(4)
+    r = build(Family("Singleton", (4,)))
     g = r.graph
     assert (g.m, g.n) == (4, 4)
     assert block_sizes(r.u_blocks) == {"X1": 2, "X2": 2}
@@ -39,17 +35,17 @@ def test_singleton_even():
 
 
 def test_singleton_one_is_empty_graph():
-    r = build_singleton(1)
+    r = build(Family("Singleton", (1,)))
     g = r.graph
     assert (g.m, g.n) == (1, 1)
-    assert list(g.arcs()) == []
+    assert g == BipartiteOrientedGraph(1, 1)
     assert g.score_set() == ScoreSet((1,))
     assert block_sizes(r.u_blocks) == {"X1": 0, "X2": 0, "x": 1}
     r.verify()
 
 
 def test_singleton_odd():
-    r = build_singleton(3)
+    r = build(Family("Singleton", (3,)))
     g = r.graph
     assert (g.m, g.n) == (3, 3)
     scores = [g.score_u(u) for u in range(3)] + [g.score_v(v) for v in range(3)]
@@ -59,29 +55,29 @@ def test_singleton_odd():
 
 def test_singleton_rejects_zero():
     with pytest.raises(ValueError):
-        build_singleton(0)
+        build(Family("Singleton", (0,)))
 
 
 @pytest.mark.parametrize("a", range(1, 9))
 def test_singleton_block_audit(a):
-    build_singleton(a).verify()
+    build(Family("Singleton", (a,))).verify()
 
 
 # ---------------------------------------------------------------- doubleton
 
 
 def test_doubleton_one_three():
-    r = build_doubleton(1, 3)
+    r = build(Family("Doubleton", (1, 3)))
     g = r.graph
     assert (g.m, g.n) == (3, 1)
-    assert list(g.arcs()) == []
+    assert g == BipartiteOrientedGraph(3, 1)
     pair = g.score_sequences()
     assert pair.a == (1, 1, 1) and pair.b == (3,)
     r.verify()
 
 
 def test_doubleton_two_three():
-    r = build_doubleton(2, 3)
+    r = build(Family("Doubleton", (2, 3)))
     g = r.graph
     assert (g.m, g.n) == (3, 2)
     assert g.score_set() == ScoreSet((2, 3))
@@ -90,18 +86,18 @@ def test_doubleton_two_three():
 
 def test_doubleton_rejects_bad_order():
     with pytest.raises(ValueError):
-        build_doubleton(2, 2)
+        build(Family("Doubleton", (2, 2)))
     with pytest.raises(ValueError):
-        build_doubleton(3, 2)
+        build(Family("Doubleton", (3, 2)))
     with pytest.raises(ValueError):
-        build_doubleton(0, 1)
+        build(Family("Doubleton", (0, 1)))
 
 
 # ---------------------------------------------------------------- triple
 
 
 def test_triple_wide_spread():
-    r = build_triple(1, 2, 5)
+    r = build(Family("Triple", (1, 2, 5)))
     g = r.graph
     assert (g.m, g.n) == (3, 4)
     pair = g.score_sequences()
@@ -111,7 +107,7 @@ def test_triple_wide_spread():
 
 
 def test_triple_narrow_spread():
-    r = build_triple(1, 2, 3)
+    r = build(Family("Triple", (1, 2, 3)))
     g = r.graph
     assert (g.m, g.n) == (2, 2)
     pair = g.score_sequences()
@@ -123,7 +119,7 @@ def test_triple_narrow_spread():
 
 def test_triple_boundary_goes_to_narrow_branch():
     # a3 == 2 * a2 must use the single-U-block construction
-    r = build_triple(2, 3, 6)
+    r = build(Family("Triple", (2, 3, 6)))
     g = r.graph
     assert (g.m, g.n) == (3, 3)
     assert g.score_set() == ScoreSet((2, 3, 6))
@@ -134,11 +130,11 @@ def test_triple_boundary_goes_to_narrow_branch():
 def test_triple_rejects_bad_order():
     for args in [(2, 2, 3), (1, 3, 2), (0, 1, 2), (3, 2, 1)]:
         with pytest.raises(ValueError):
-            build_triple(*args)
+            build(Family("Triple", args))
 
 
 def test_triple_partial_domination_hits_lowest_indices():
-    r = build_triple(1, 2, 3)
+    r = build(Family("Triple", (1, 2, 3)))
     g = r.graph
     # exactly one U vertex is beaten, and it is vertex 0
     assert g.arc(0, 1) is ArcState.V_TO_U
@@ -149,7 +145,7 @@ def test_triple_partial_domination_hits_lowest_indices():
 
 
 def test_geometric_ratio2_small():
-    r = build_geometric(1, 2, 2)
+    r = build(Family("Geometric", (1, 2, 2)))
     g = r.graph
     assert (g.m, g.n) == (2, 2)
     pair = g.score_sequences()
@@ -159,7 +155,7 @@ def test_geometric_ratio2_small():
 
 
 def test_geometric_ratio2_block_sizes():
-    r = build_geometric(1, 2, 3)
+    r = build(Family("Geometric", (1, 2, 3)))
     assert block_sizes(r.u_blocks) == {"X0": 1, "X1": 1, "X3": 4}
     assert block_sizes(r.v_blocks) == {"Y0": 1, "Y2": 1, "Y3": 4}
     assert r.graph.score_set() == ScoreSet((1, 2, 4, 8))
@@ -167,7 +163,7 @@ def test_geometric_ratio2_block_sizes():
 
 
 def test_geometric_layered_small():
-    r = build_geometric(1, 3, 2)
+    r = build(Family("Geometric", (1, 3, 2)))
     g = r.graph
     assert (g.m, g.n) == (7, 7)
     assert g.score_set() == ScoreSet((1, 3, 9))
@@ -184,43 +180,46 @@ def alternating_part_size(a, d, n):
 @pytest.mark.parametrize("d", [3, 4, 5])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_geometric_layered_part_size_closed_form(a, d, n):
-    g = build_geometric(a, d, n).graph
+    g = build(Family("Geometric", (a, d, n))).graph
     expected = alternating_part_size(a, d, n)
     assert g.m == g.n == expected
 
 
 def test_geometric_delegations():
-    r = build_geometric(2, 3, 0)
+    r = build(Family("Geometric", (2, 3, 0)))
     assert (r.graph.m, r.graph.n) == (2, 2)
     assert r.graph.score_set() == ScoreSet((2,))
-    r = build_geometric(2, 3, 1)
+    assert r.family == Family("Geometric", (2, 3, 0))
+    r = build(Family("Geometric", (2, 3, 1)))
     assert (r.graph.m, r.graph.n) == (6, 2)
     assert r.graph.score_set() == ScoreSet((2, 6))
-    r = build_geometric(3, 2, 1)
+    assert r.family == Family("Geometric", (2, 3, 1))
+    r = build(Family("Geometric", (3, 2, 1)))
     assert r.graph.score_set() == ScoreSet((3, 6))
+    assert r.family == Family("Geometric", (3, 2, 1))
 
 
 def test_geometric_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        build_geometric(0, 2, 1)
+        build(Family("Geometric", (0, 2, 1)))
     with pytest.raises(ValueError):
-        build_geometric(1, 1, 2)
+        build(Family("Geometric", (1, 1, 2)))
     with pytest.raises(ValueError):
-        build_geometric(1, 2, -1)
+        build(Family("Geometric", (1, 2, -1)))
 
 
 @pytest.mark.parametrize("a", [1, 2])
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_geometric_block_audit(a, d, n):
-    build_geometric(a, d, n).verify()
+    build(Family("Geometric", (a, d, n))).verify()
 
 
 # ---------------------------------------------------------------- arithmetic
 
 
 def test_arithmetic_wide():
-    r = build_arithmetic(1, 2, 2)
+    r = build(Family("Arithmetic", (1, 2, 2)))
     g = r.graph
     assert (g.m, g.n) == (3, 3)
     assert g.score_set() == ScoreSet((1, 3, 5))
@@ -230,7 +229,7 @@ def test_arithmetic_wide():
 
 
 def test_arithmetic_equal_odd_n():
-    r = build_arithmetic(2, 2, 1)
+    r = build(Family("Arithmetic", (2, 2, 1)))
     g = r.graph
     assert (g.m, g.n) == (4, 2)
     assert g.score_set() == ScoreSet((2, 4))
@@ -238,7 +237,7 @@ def test_arithmetic_equal_odd_n():
 
 
 def test_arithmetic_equal_n3():
-    r = build_arithmetic(1, 1, 3)
+    r = build(Family("Arithmetic", (1, 1, 3)))
     g = r.graph
     assert (g.m, g.n) == (3, 2)
     assert g.score_set() == ScoreSet((1, 2, 3, 4))
@@ -246,7 +245,7 @@ def test_arithmetic_equal_n3():
 
 
 def test_arithmetic_narrow_degenerate_k1():
-    r = build_arithmetic(3, 1, 2)
+    r = build(Family("Arithmetic", (3, 1, 2)))
     g = r.graph
     assert (g.m, g.n) == (4, 4)
     by_label = {b.label: b.score for b in r.u_blocks + r.v_blocks}
@@ -260,7 +259,7 @@ def test_arithmetic_narrow_degenerate_k1():
 
 
 def test_arithmetic_narrow_partial_domination_targets_lowest():
-    r = build_arithmetic(3, 1, 4)  # k=2, X3 exists and beats one Y0 vertex
+    r = build(Family("Arithmetic", (3, 1, 4)))  # k=2, X3 exists and beats one Y0 vertex
     g = r.graph
     x3 = next(b for b in r.u_blocks if b.label == "X3")
     u = x3.start
@@ -271,20 +270,24 @@ def test_arithmetic_narrow_partial_domination_targets_lowest():
 
 
 def test_arithmetic_delegations():
-    assert build_arithmetic(2, 2, 0).graph.score_set() == ScoreSet((2,))
-    r = build_arithmetic(3, 1, 1)
-    assert r.graph.score_set() == ScoreSet((3, 4))
-    assert (r.graph.m, r.graph.n) == (4, 3)
-    assert build_arithmetic(2, 1, 0).graph.score_set() == ScoreSet((2,))
+    for params, values, shape in [
+        ((2, 2, 0), (2,), (2, 2)),
+        ((3, 1, 1), (3, 4), (4, 3)),
+        ((2, 1, 0), (2,), (2, 2)),
+    ]:
+        r = build(Family("Arithmetic", params))
+        assert r.graph.score_set() == ScoreSet(values)
+        assert (r.graph.m, r.graph.n) == shape
+        assert r.family == Family("Arithmetic", params)
 
 
 def test_arithmetic_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        build_arithmetic(0, 1, 1)
+        build(Family("Arithmetic", (0, 1, 1)))
     with pytest.raises(ValueError):
-        build_arithmetic(1, 0, 1)
+        build(Family("Arithmetic", (1, 0, 1)))
     with pytest.raises(ValueError):
-        build_arithmetic(1, 1, -1)
+        build(Family("Arithmetic", (1, 1, -1)))
 
 
 def eq_242_part_size(a, d, n):
@@ -298,20 +301,20 @@ def eq_242_part_size(a, d, n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_arithmetic_wide_part_size_closed_form(a, n):
     for d in (a + 1, a + 2, 2 * a + 1):
-        g = build_arithmetic(a, d, n).graph
+        g = build(Family("Arithmetic", (a, d, n))).graph
         assert g.m == g.n == eq_242_part_size(a, d, n)
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_arithmetic_scaling_when_difference_equals_start(a, n):
-    got = build_arithmetic(a, a, n).graph.score_set()
+    got = build(Family("Arithmetic", (a, a, n))).graph.score_set()
     assert got.values == tuple(a * i for i in range(1, n + 2))
 
 
 @pytest.mark.parametrize("params", [(1, 2, 3), (2, 3, 4), (3, 1, 3), (2, 2, 4), (4, 6, 5)])
 def test_arithmetic_block_audit(params):
-    build_arithmetic(*params).verify()
+    build(Family("Arithmetic", params)).verify()
 
 
 # ---------------------------------------------------------------- classify
@@ -374,7 +377,7 @@ def test_realize_refuses_zero_and_empty():
 
 
 def test_verify_catches_tampering():
-    r = build_singleton(2)
+    r = build(Family("Singleton", (2,)))
     r.verify()
     for key, state in [
         (("X1", "Y1"), ArcState.ABSENT),  # the rectangle loses its arcs
@@ -394,7 +397,7 @@ def test_graph_catches_a_fill_that_disagrees_with_the_layout(monkeypatch):
             return super().scores()
 
     monkeypatch.setattr(constructions, "BipartiteOrientedGraph", Corrupted)
-    r = build_singleton(2)
+    r = build(Family("Singleton", (2,)))
     r.verify()  # the layout itself is sound
     with pytest.raises(RealizationError):
         r.graph
@@ -481,13 +484,13 @@ def test_layout_scores_equal_dense_scores(values):
 @pytest.mark.parametrize(
     "values,builder",
     [
-        ((2,), lambda: build_singleton(2)),
-        ((3,), lambda: build_singleton(3)),
-        ((1, 2), lambda: build_doubleton(1, 2)),
-        ((2, 3), lambda: build_doubleton(2, 3)),
-        ((1, 2, 3), lambda: build_triple(1, 2, 3)),
-        ((1, 2, 4), lambda: build_geometric(1, 2, 2)),
-        ((1, 2, 3, 4), lambda: build_arithmetic(1, 1, 3)),
+        ((2,), lambda: build(Family("Singleton", (2,)))),
+        ((3,), lambda: build(Family("Singleton", (3,)))),
+        ((1, 2), lambda: build(Family("Doubleton", (1, 2)))),
+        ((2, 3), lambda: build(Family("Doubleton", (2, 3)))),
+        ((1, 2, 3), lambda: build(Family("Triple", (1, 2, 3)))),
+        ((1, 2, 4), lambda: build(Family("Geometric", (1, 2, 2)))),
+        ((1, 2, 3, 4), lambda: build(Family("Arithmetic", (1, 1, 3)))),
     ],
 )
 def test_small_constructions_confirmed_by_search(values, builder):

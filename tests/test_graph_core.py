@@ -40,6 +40,12 @@ def test_set_arc_overwrites():
     g.set_arc(0, 0, ArcState.U_TO_V)
     g.set_arc(0, 0, ArcState.V_TO_U)
     assert g.arc(0, 0) is ArcState.V_TO_U
+    g = BipartiteOrientedGraph(2, 3)
+    g.set_arc(0, 1, ArcState.U_TO_V)
+    g.set_arc(1, 2, ArcState.V_TO_U)
+    g.set_arc(1, 0, ArcState.U_TO_V)
+    g.set_arc(1, 0, ArcState.ABSENT)
+    assert repr(g) == "BipartiteOrientedGraph(m=2, n=3, arcs=2)"
 
 
 def test_set_arc_bounds():
@@ -220,7 +226,6 @@ def test_serialization_matches_reference(data):
     g = data.draw(graphs(max_m=6, max_n=6))
     u_blocks = data.draw(block_lists(g.m, "X"))
     v_blocks = data.draw(block_lists(g.n, "Y"))
-    assert list(g.arcs()) == reference_arcs(g)
     text = g.to_json(u_blocks=u_blocks, v_blocks=v_blocks)
     assert text == reference_json(g, u_blocks, v_blocks)
     assert g.to_dot(u_blocks=u_blocks, v_blocks=v_blocks) == reference_dot(g, u_blocks, v_blocks)
@@ -321,12 +326,3 @@ def test_sequences_respect_caps(g):
 @given(graphs())
 def test_json_round_trip_identity(g):
     assert BipartiteOrientedGraph.from_json(g.to_json()) == g
-
-
-@given(graphs())
-def test_reversal_flips_scores(g):
-    rev = g.reverse()
-    for u in range(g.m):
-        assert g.score_u(u) + rev.score_u(u) == 2 * g.n
-    for v in range(g.n):
-        assert g.score_v(v) + rev.score_v(v) == 2 * g.m

@@ -2,6 +2,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import scoresets.oracle as oracle
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -13,6 +15,13 @@ def run_script(name, argv, monkeypatch, capsys):
 
 
 def test_remark_census(monkeypatch, capsys):
+    scan = oracle.catalog_for_shape
+
+    def sets_only(m, n, **options):
+        assert options.get("pairs") is False, "the census reads no sequence pairs"
+        return scan(m, n, **options)
+
+    monkeypatch.setattr(oracle, "catalog_for_shape", sets_only)
     argv = ["--max-m", "2", "--max-n", "2", "--max-value", "3"]
     lines = run_script("remark_census.py", argv, monkeypatch, capsys)
     assert lines[0].endswith("with m <= 2, n <= 2")
