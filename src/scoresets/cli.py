@@ -173,11 +173,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
         with open(args.graph, "r", encoding="utf-8") as handle:
             text = handle.read()
     g = BipartiteOrientedGraph.from_json(text)
-    u_scores, v_scores = g.scores()
-    a, b = sorted(u_scores), sorted(v_scores)
-    score_set = ScoreSet.from_values(u_scores + v_scores)
+    pair = g.score_sequences()
+    a, b = pair.a, pair.b
+    score_set = ScoreSet.from_values(a + b)
     if args.format == "json":
-        doc = {"m": g.m, "n": g.n, "a": a, "b": b, "set": list(score_set.values)}
+        doc = {"m": g.m, "n": g.n, "a": a, "b": b, "set": score_set.values}
         print(json.dumps(doc, separators=(",", ":")))
     else:
         print(f"a = [{','.join(map(str, a))}]")
@@ -225,21 +225,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
     score_set = _parse_score_set(args.set)
     witness = bounded_search(score_set, args.max_m, args.max_n, budget=args.budget)
     if witness is None:
-        if args.format == "json":
-            print(json.dumps({"realizable": False}, separators=(",", ":")))
-        else:
-            print("not realizable within bounds")
+        print('{"realizable":false}' if args.format == "json" else "not realizable within bounds")
         return 0
     index = EnumerationSpace(witness.m, witness.n).encode(witness)
     if args.format == "json":
-        doc = {
-            "realizable": True,
-            "m": witness.m,
-            "n": witness.n,
-            "index": str(index),
-            "graph": json.loads(witness.to_json()),
-        }
-        print(json.dumps(doc, separators=(",", ":")))
+        print(
+            f'{{"realizable":true,"m":{witness.m},"n":{witness.n},"index":"{index}",'
+            f'"graph":{witness.to_json()}}}'
+        )
     else:
         print(f"witness found: m={witness.m} n={witness.n} index={index}")
         print(witness.to_json())
@@ -251,26 +244,18 @@ def _cmd_conjecture_scan(args: argparse.Namespace) -> int:
     if top < 1:
         raise ValueError("--max-value must be at least 1")
     _shapes(args.max_m, args.max_n, args.budget)  # bad bounds fail before the first line
-    tallies = {"constructed": 0, "oracle-witnessed": 0, "unknown within bounds": 0}
+    tallies = dict.fromkeys(("constructed", "oracle-witnessed", "unknown within bounds"), 0)
     for size in range(1, top + 1):
         for values in combinations(range(1, top + 1), size):
             score_set = ScoreSet(values)
             try:
-                realization = realize(score_set)
-                status = f"constructed (m={realization.m}, n={realization.n})"
-                tallies["constructed"] += 1
+                found = realize(score_set)
+                status = "constructed"
             except UnsupportedScoreSetError:
-                witness = bounded_search(score_set, args.max_m, args.max_n, budget=args.budget)
-                if witness is None:
-                    status = "unknown within bounds"
-                    tallies["unknown within bounds"] += 1
-                else:
-                    status = f"oracle-witnessed (m={witness.m}, n={witness.n})"
-                    tallies["oracle-witnessed"] += 1
-            print(f"{score_set}: {status}")
-    print(
-        f"total: {tallies['constructed']} constructed, "
-        f"{tallies['oracle-witnessed']} oracle-witnessed, "
-        f"{tallies['unknown within bounds']} unknown within bounds"
-    )
+                found = bounded_search(score_set, args.max_m, args.max_n, budget=args.budget)
+                status = "unknown within bounds" if found is None else "oracle-witnessed"
+            tallies[status] += 1
+            shape = "" if found is None else f" (m={found.m}, n={found.n})"
+            print(f"{score_set}: {status}{shape}")
+    print("total: " + ", ".join(f"{count} {status}" for status, count in tallies.items()))
     return 0

@@ -136,18 +136,16 @@ class Realization:
         return g
 
     def to_json(self) -> str:
-        return self.graph.to_json(u_blocks=self.u_blocks, v_blocks=self.v_blocks)
+        return self.graph.to_json(blocks=(self.u_blocks, self.v_blocks))
 
     def to_dot(self) -> str:
-        return self.graph.to_dot(u_blocks=self.u_blocks, v_blocks=self.v_blocks)
+        return self.graph.to_dot(blocks=(self.u_blocks, self.v_blocks))
 
 
 def _tile(part: list[tuple[str, int, int]]) -> tuple[Block, ...]:
     blocks = []
     pos = 0
     for label, size, score in part:
-        if size < 0:
-            raise AssertionError(f"block {label} would have negative size {size}")
         blocks.append(Block(label, pos, pos + size, score))
         pos += size
     return tuple(blocks)
@@ -380,8 +378,6 @@ def classify(score_set: ScoreSet) -> Family:
     {0, 2}, have small witnesses that ``bounded_search`` finds.
     """
     vals = score_set.values
-    if not vals:
-        raise ValueError("score set is empty")
     if vals[0] == 0:
         return Family("Unsupported", vals)
     if len(vals) <= 3:

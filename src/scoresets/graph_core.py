@@ -78,6 +78,8 @@ class ScoreSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
+        if not self.values:
+            raise ValueError("score set is empty")
         if any(x < 0 for x in self.values):
             raise ValueError(f"score set has a negative entry: {self.values}")
         if any(self.values[i] >= self.values[i + 1] for i in range(len(self.values) - 1)):
@@ -196,23 +198,17 @@ class BipartiteOrientedGraph:
         present = len(self._arcs) - self._arcs.count(0)
         return f"BipartiteOrientedGraph(m={self.m}, n={self.n}, arcs={present})"
 
-    def to_json(
-        self,
-        *,
-        u_blocks: Sequence[Block] | None = None,
-        v_blocks: Sequence[Block] | None = None,
-    ) -> str:
-        """Serialize to the canonical JSON document (absent pairs omitted)."""
+    def to_json(self, *, blocks: tuple[Sequence[Block], Sequence[Block]] | None = None) -> str:
+        """Serialize to the canonical JSON document (absent pairs omitted),
+        with the U and V block lists when ``blocks`` is given."""
         arcs = ",".join(
             [f'{{"u":{u},"v":{v},"dir":"{_DIRS[s]}"}}' for u, v, s in zip(*self._present())]
         )
         text = f'{{"m":{self.m},"n":{self.n},"arcs":[{arcs}]'
-        if u_blocks is not None or v_blocks is not None:
-            blocks = {
-                "U": [_block_doc(b) for b in (u_blocks or ())],
-                "V": [_block_doc(b) for b in (v_blocks or ())],
-            }
-            text += ',"blocks":' + json.dumps(blocks, separators=(",", ":"))
+        if blocks is not None:
+            u_blocks, v_blocks = blocks
+            doc = {"U": [_block_doc(b) for b in u_blocks], "V": [_block_doc(b) for b in v_blocks]}
+            text += ',"blocks":' + json.dumps(doc, separators=(",", ":"))
         return text + "}"
 
     @classmethod
@@ -251,15 +247,10 @@ class BipartiteOrientedGraph:
             buf[pos] = state
         return g
 
-    def to_dot(
-        self,
-        *,
-        u_blocks: Sequence[Block] | None = None,
-        v_blocks: Sequence[Block] | None = None,
-    ) -> str:
-        """Graphviz rendering with clusters for the two parts."""
-        u_label = _label_lookup(u_blocks)
-        v_label = _label_lookup(v_blocks)
+    def to_dot(self, *, blocks: tuple[Sequence[Block], Sequence[Block]] | None = None) -> str:
+        """Graphviz rendering with clusters for the two parts; nodes of
+        ``blocks`` carry their block label."""
+        u_label, v_label = map(_label_lookup, blocks or ((), ()))
         lines = ["digraph {"]
         lines.append("  subgraph cluster_U {")
         lines.append('    label="U";')
@@ -283,12 +274,8 @@ def _block_doc(block: Block) -> dict:
     return {"label": block.label, "from": block.start, "to": block.stop}
 
 
-def _label_lookup(blocks: Sequence[Block] | None) -> dict[int, str]:
-    table: dict[int, str] = {}
-    for block in blocks or ():
-        for i in block.indices():
-            table[i] = block.label
-    return table
+def _label_lookup(blocks: Sequence[Block]) -> dict[int, str]:
+    return {i: block.label for block in blocks for i in block.indices()}
 
 
 def _node_line(prefix: str, index: int, label: str | None) -> str:

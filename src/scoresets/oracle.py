@@ -166,14 +166,13 @@ class RealizabilityCatalog:
     sets: dict[tuple[int, ...], Witness] = field(default_factory=dict)
     pairs: dict[PairKey, Witness] = field(default_factory=dict)
 
-    def records(self) -> Iterator[dict]:
-        """Set records, then pair records, keys sorted lexicographically."""
-        for kind, table in (("set", self.sets), ("pair", self.pairs)):
-            for key in sorted(table):
-                yield _record(kind, key, table[key])
-
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in self.records())
+        """Set records, then pair records, keys sorted lexicographically."""
+        return "".join(
+            json.dumps(_record(kind, key, table[key]), separators=(",", ":")) + "\n"
+            for kind, table in (("set", self.sets), ("pair", self.pairs))
+            for key in sorted(table)
+        )
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RealizabilityCatalog":
@@ -282,8 +281,6 @@ def bounded_search(
     exceeds every attainable score.
     """
     values = tuple(score_set)
-    if not values:
-        raise ValueError("score set is empty")
     target = _mask_of(values)
     for m, n in _shapes(m_max, n_max, budget):
         if len(values) > m + n or values[-1] > max(2 * m, 2 * n):
@@ -326,14 +323,15 @@ def criterion_equivalence(
     [0, 2n] x [0, 2m] that passes the check is attained by some graph.
     """
     realized = set(catalog_for_shape(m, n, budget=budget, sets=False).pairs)
-    counterexamples: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-    for a, b in sorted(realized):
-        if not check_bipartite_pair(ScoreSequencePair(a, b)).valid:
-            counterexamples.append(("necessity", a, b))
-    for a in combinations_with_replacement(range(2 * n + 1), m):
-        for b in combinations_with_replacement(range(2 * m + 1), n):
-            if (a, b) in realized:
-                continue
-            if check_bipartite_pair(ScoreSequencePair(a, b)).valid:
-                counterexamples.append(("sufficiency", a, b))
-    return EquivalenceReport(m, n, counterexamples)
+    passing = {
+        (a, b)
+        for a in combinations_with_replacement(range(2 * n + 1), m)
+        for b in combinations_with_replacement(range(2 * m + 1), n)
+        if check_bipartite_pair(ScoreSequencePair(a, b)).valid
+    }
+    return EquivalenceReport(
+        m,
+        n,
+        [("necessity", a, b) for a, b in sorted(realized - passing)]
+        + [("sufficiency", a, b) for a, b in sorted(passing - realized)],
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -207,7 +208,16 @@ def test_search_json_format(capsys):
     code, out, _ = run(
         capsys, "search", "--set", "0", "--max-m", "2", "--max-n", "2", "--format", "json"
     )
-    assert json.loads(out) == {"realizable": False}
+    assert out == '{"realizable":false}\n'
+    code, out, _ = run(
+        capsys, "search", "--set", "0,2,6", "--max-m", "2", "--max-n", "3", "--format", "json"
+    )
+    assert code == 0
+    assert out == (
+        '{"realizable":true,"m":2,"n":3,"index":"368","graph":{"m":2,"n":3,"arcs":['
+        '{"u":0,"v":0,"dir":"vu"},{"u":0,"v":1,"dir":"vu"},{"u":0,"v":2,"dir":"uv"},'
+        '{"u":1,"v":0,"dir":"uv"},{"u":1,"v":1,"dir":"uv"},{"u":1,"v":2,"dir":"uv"}]}}\n'
+    )
 
 
 def test_conjecture_scan_small_values_all_constructed(capsys):
@@ -231,6 +241,18 @@ def test_conjecture_scan_unknown_within_tight_bounds(capsys):
     lines = dict(line.rsplit(": ", 1) for line in out.strip().splitlines()[:-1])
     assert lines["{1,2,3,5}"] == "unknown within bounds"
     assert lines["{1,2,3,4,5}"].startswith("constructed")
+
+
+def test_conjecture_scan_golden_digest(capsys):
+    # pins every byte of a scan in which all three statuses occur, total line included
+    code, out, _ = run(
+        capsys, "conjecture-scan", "--max-value", "5", "--max-m", "2", "--max-n", "3"
+    )
+    assert code == 0
+    assert "oracle-witnessed" in out and "unknown within bounds" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d7e74c076addd264aaa3b3f61798b578a3a019a400111c4747740def6eadc399"
+    )
 
 
 @pytest.mark.parametrize(

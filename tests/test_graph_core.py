@@ -226,16 +226,17 @@ def test_serialization_matches_reference(data):
     g = data.draw(graphs(max_m=6, max_n=6))
     u_blocks = data.draw(block_lists(g.m, "X"))
     v_blocks = data.draw(block_lists(g.n, "Y"))
-    text = g.to_json(u_blocks=u_blocks, v_blocks=v_blocks)
+    blocks = None if u_blocks is None and v_blocks is None else (u_blocks or [], v_blocks or [])
+    text = g.to_json(blocks=blocks)
     assert text == reference_json(g, u_blocks, v_blocks)
-    assert g.to_dot(u_blocks=u_blocks, v_blocks=v_blocks) == reference_dot(g, u_blocks, v_blocks)
+    assert g.to_dot(blocks=blocks) == reference_dot(g, u_blocks, v_blocks)
     assert BipartiteOrientedGraph.from_json(text) == g
 
 
 def test_json_blocks_follow_schema():
     g = BipartiteOrientedGraph(2, 1)
     doc = json.loads(
-        g.to_json(u_blocks=[Block("X1", 0, 2, 5)], v_blocks=[Block("Y1", 0, 1, 5)])
+        g.to_json(blocks=([Block("X1", 0, 2, 5)], [Block("Y1", 0, 1, 5)]))
     )
     assert doc["blocks"] == {
         "U": [{"label": "X1", "from": 0, "to": 2}],
@@ -268,11 +269,13 @@ def test_dot_is_deterministic():
 
 def test_dot_block_labels():
     g = BipartiteOrientedGraph(2, 1)
-    text = g.to_dot(u_blocks=[Block("X1", 0, 2, 3)])
+    text = g.to_dot(blocks=([Block("X1", 0, 2, 3)], []))
     assert 'u0 [label="u0\\nX1"];' in text
 
 
 def test_score_set_validation():
+    with pytest.raises(ValueError, match="score set is empty"):
+        ScoreSet(())
     with pytest.raises(ValueError):
         ScoreSet((2, 1))
     with pytest.raises(ValueError):

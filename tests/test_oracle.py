@@ -166,6 +166,52 @@ def test_report_flags_follow_the_counterexamples():
     assert report.necessity_ok
 
 
+def two_loop_equivalence(m, n):
+    """Reference lane: a necessity loop over the realized pairs, then a
+    sufficiency loop over every candidate pair not realized."""
+    from itertools import combinations_with_replacement
+
+    from scoresets.graph_core import ScoreSequencePair
+
+    realized = set(catalog_for_shape(m, n, sets=False).pairs)
+    counterexamples = []
+    for a, b in sorted(realized):
+        if not oracle.check_bipartite_pair(ScoreSequencePair(a, b)).valid:
+            counterexamples.append(("necessity", a, b))
+    for a in combinations_with_replacement(range(2 * n + 1), m):
+        for b in combinations_with_replacement(range(2 * m + 1), n):
+            if (a, b) in realized:
+                continue
+            if oracle.check_bipartite_pair(ScoreSequencePair(a, b)).valid:
+                counterexamples.append(("sufficiency", a, b))
+    return counterexamples
+
+
+def test_criterion_equivalence_matches_two_loop_reference(monkeypatch):
+    from scoresets.criteria import CriterionVerdict
+
+    exact = oracle.check_bipartite_pair
+
+    def faulty(pair):
+        # flips the verdict on a slice of both realized and unrealized pairs
+        verdict = exact(pair)
+        if pair.a[0] == 1 or sum(pair.b) % 5 == 0:
+            return CriterionVerdict(not verdict.valid)
+        return verdict
+
+    monkeypatch.setattr(oracle, "check_bipartite_pair", faulty)
+    total = 0
+    kinds = set()
+    for m in range(1, 4):
+        for n in range(1, 4):
+            report = criterion_equivalence(m, n)
+            assert report.counterexamples == two_loop_equivalence(m, n), (m, n)
+            total += len(report.counterexamples)
+            kinds.update(kind for kind, _, _ in report.counterexamples)
+    assert total > 0
+    assert kinds == {"necessity", "sufficiency"}
+
+
 def test_criterion_equivalence_1x1_passing_pairs():
     from itertools import combinations_with_replacement
 
