@@ -3,17 +3,21 @@
 Every construction is a block layout, and a Realization is that layout.
 ``build(Family(name, params))`` is the one way to get one, and it
 records the family.  A builder lists each part as a sequence of
-``(label, size, score)`` blocks and names the dominated rectangles:
-``{(u_label, v_label): state}`` means every vertex of the U block and
-every vertex of the V block are joined by an arc in that direction.
-Partial dominations are separate blocks (``X1_dominated`` / ``X1_rest``,
-``Y0_dominated`` / ``Y0_rest``) placed first in their part, so only the
-lowest-indexed slice is dominated.  ``_assemble`` tiles the blocks and
-refuses layouts of more than ``2**28`` pairs, the dense limit, whatever
-the output will be.  ``realize`` verifies the layout itself: a block's
-score is its part offset plus the size-weighted sum of its rectangles,
-so the audit costs O(m + n + rectangles).  ``Realization.graph`` builds
-the dense graph on first use and scores it again against the layout.
+``(label, size, score, rank)`` blocks.  Of two ranked blocks, every
+vertex of the higher-ranked one has an arc to every vertex of the
+other; equal ranks, and blocks of rank ``None``, meet no arc.  A layout
+that no rank order describes (the singleton's cycle X1 > Y1 > X2 > Y2
+> X1) lists its arcs as ``cells``: ``{(u_block, v_block): state}`` by
+block index.  Partial dominations are separate blocks (``X1_dominated``
+/ ``X1_rest``, ``Y0_dominated`` / ``Y0_rest``) placed first in their
+part, so only the lowest-indexed slice is dominated.  ``_assemble``
+tiles the blocks, refuses layouts of more than ``2**28`` pairs (the
+dense limit, whatever the output will be) and only then stores one
+``ArcState`` byte per block pair.  ``realize`` verifies the layout
+itself: a block's score is its part offset plus the size-weighted sum
+of its row of states, so the audit costs O(m + n + block pairs).
+``Realization.graph`` builds the dense graph on first use and scores it
+again against the layout.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -24,24 +28,21 @@ refuses such inputs instead of guessing.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .criteria import check_bipartite_pair
-from .graph_core import ArcState, BipartiteOrientedGraph, Block, ScoreSequencePair, ScoreSet
+from .graph_core import _NET, ArcState, BipartiteOrientedGraph, Block, ScoreSequencePair, ScoreSet
 from .graph_core import _require_dense
 
 U_TO_V, V_TO_U = ArcState.U_TO_V, ArcState.V_TO_U
-_NET = (0, 1, -1)  # score change of the U end of a pair, by ArcState
 
-# requested values, U blocks, V blocks, dominated rectangles
-Layout = tuple[
-    tuple[int, ...],
-    list[tuple[str, int, int]],
-    list[tuple[str, int, int]],
-    dict[tuple[str, str], ArcState],
-]
+# (label, size, score, rank) of one block
+Part = list[tuple[str, int, int, int | None]]
+# requested values, U blocks, V blocks, cells outside the rank rule
+Layout = tuple[tuple[int, ...], Part, Part, dict[tuple[int, int], ArcState]]
 
 
 class UnsupportedScoreSetError(ValueError):
@@ -62,12 +63,14 @@ class Family:
 
 @dataclass(frozen=True)
 class Realization:
-    """A block layout (pairs in no listed rectangle have no arc), the requested
-    score set, and the family ``build`` dispatched on."""
+    """A block layout, the requested score set, and the family ``build``
+    dispatched on.  ``states`` holds the ArcState of U block i against
+    V block j at byte ``i * len(v_blocks) + j``; bytes, unlike an array,
+    keep the dataclass's value equality."""
 
     u_blocks: tuple[Block, ...]
     v_blocks: tuple[Block, ...]
-    rects: dict[tuple[str, str], ArcState]
+    states: bytes
     requested: ScoreSet
     family: Family
 
@@ -79,19 +82,20 @@ class Realization:
     def n(self) -> int:
         return self.v_blocks[-1].stop
 
+    def _grid(self) -> np.ndarray:
+        return np.frombuffer(self.states, dtype=np.uint8).reshape(len(self.u_blocks), -1)
+
     def scores(self) -> tuple[list[int], list[int]]:
         """U- and V-scores in vertex order, from the layout: a block scores
-        its part offset plus the size-weighted sum of its rectangles."""
-        u_size = {b.label: b.size for b in self.u_blocks}
-        v_size = {b.label: b.size for b in self.v_blocks}
-        u, v = dict.fromkeys(u_size, self.n), dict.fromkeys(v_size, self.m)
-        for (x, y), state in self.rects.items():
-            u[x] += _NET[state] * v_size[y]
-            v[y] -= _NET[state] * u_size[x]
-        return (
-            [u[b.label] for b in self.u_blocks for _ in b.indices()],
-            [v[b.label] for b in self.v_blocks for _ in b.indices()],
-        )
+        its part offset plus the size-weighted sum of its row (or column)
+        of block states, whether a rank or a cell set the state."""
+        u_size = np.array([b.size for b in self.u_blocks], dtype=np.int64)
+        v_size = np.array([b.size for b in self.v_blocks], dtype=np.int64)
+        net = _NET[self._grid()]
+        # einsum sums int8 x int64 in int64 without an int64 copy of net
+        u = self.n + np.einsum("ij,j->i", net, v_size)
+        v = self.m - np.einsum("ij,i->j", net, u_size)
+        return np.repeat(u, u_size).tolist(), np.repeat(v, v_size).tolist()
 
     def verify(self) -> None:
         """Recompute every promise from the layout; raise RealizationError on mismatch."""
@@ -122,15 +126,11 @@ class Realization:
     @cached_property
     def graph(self) -> BipartiteOrientedGraph:
         """The dense graph, built on first use and re-scored against the layout."""
-        n = self.n
-        g = BipartiteOrientedGraph(self.m, n)
-        rows = {b.label: bytearray(n) for b in self.u_blocks}
-        v_at = {b.label: b for b in self.v_blocks}
-        for (x, y), state in self.rects.items():
-            rows[x][v_at[y].start : v_at[y].stop] = bytes([state]) * v_at[y].size
-        for blk in self.u_blocks:  # every vertex of a U block has the same row
-            for u in blk.indices():
-                g._arcs[u * n : (u + 1) * n] = rows[blk.label]
+        g = BipartiteOrientedGraph(self.m, self.n)
+        dense = np.frombuffer(g._arcs, dtype=np.uint8).reshape(self.m, self.n)
+        v_size = [b.size for b in self.v_blocks]
+        for blk, row in zip(self.u_blocks, self._grid()):  # one row per U block
+            dense[blk.start : blk.stop] = np.repeat(row, v_size)
         if g.scores() != self.scores():
             raise RealizationError("the dense graph does not score as its layout")
         return g
@@ -142,31 +142,30 @@ class Realization:
         return self.graph.to_dot(blocks=(self.u_blocks, self.v_blocks))
 
 
-def _tile(part: list[tuple[str, int, int]]) -> tuple[Block, ...]:
+def _tile(part: Part) -> tuple[Block, ...]:
     blocks = []
     pos = 0
-    for label, size, score in part:
+    for label, size, score, _ in part:
         blocks.append(Block(label, pos, pos + size, score))
         pos += size
     return tuple(blocks)
 
 
 def _assemble(layout: Layout, family: Family) -> Realization:
-    """Tile both parts and wrap the layout, refusing it past the dense limit."""
-    values, u, v, rects = layout
-    result = Realization(_tile(u), _tile(v), rects, ScoreSet(values), family)
-    _require_dense(result.m, result.n)
-    return result
-
-
-def _ladder(u_indices: Sequence[int], v_indices: Sequence[int]) -> dict[tuple[str, str], ArcState]:
-    """Rectangles X<i> against Y<j> for i != j: the higher index wins."""
-    return {
-        (f"X{i}", f"Y{j}"): U_TO_V if i > j else V_TO_U
-        for i in u_indices
-        for j in v_indices
-        if i != j
-    }
+    """Tile both parts, refuse the layout past the dense limit, then fill
+    the block-state matrix from the ranks and the cells."""
+    values, u, v, cells = layout
+    u_blocks, v_blocks = _tile(u), _tile(v)
+    _require_dense(u_blocks[-1].stop, v_blocks[-1].stop)
+    # a rank of None becomes NaN, which compares neither above nor below
+    u_rank = np.array([rank for *_, rank in u], dtype=float)[:, None]
+    v_rank = np.array([rank for *_, rank in v], dtype=float)
+    grid = np.zeros((len(u), len(v)), dtype=np.uint8)
+    grid[u_rank > v_rank] = U_TO_V
+    grid[u_rank < v_rank] = V_TO_U
+    for cell, state in cells.items():
+        grid[cell] = state
+    return Realization(u_blocks, v_blocks, grid.tobytes(), ScoreSet(values), family)
 
 
 def _singleton(a: int) -> Layout:
@@ -174,15 +173,16 @@ def _singleton(a: int) -> Layout:
 
     Both parts split into two blocks of size floor(a/2); each X block
     beats its matching Y block and loses to the other one, so every
-    score is a.  Odd a adds one isolated vertex per part.
+    score is a.  That cycle has no rank order, so it is given as cells.
+    Odd a adds one isolated vertex per part.
     """
     if a < 1:
         raise ValueError("singleton score must be positive; {0} is not realizable")
     half, odd = divmod(a, 2)
-    u = [("X1", half, a), ("X2", half, a)] + [("x", 1, a)] * odd
-    v = [("Y1", half, a), ("Y2", half, a)] + [("y", 1, a)] * odd
-    rects = {("X1", "Y1"): U_TO_V, ("X2", "Y2"): U_TO_V, ("X2", "Y1"): V_TO_U, ("X1", "Y2"): V_TO_U}
-    return (a,), u, v, rects
+    u = [("X1", half, a, None), ("X2", half, a, None)] + [("x", 1, a, None)] * odd
+    v = [("Y1", half, a, None), ("Y2", half, a, None)] + [("y", 1, a, None)] * odd
+    cells = {(0, 0): U_TO_V, (1, 1): U_TO_V, (1, 0): V_TO_U, (0, 1): V_TO_U}
+    return (a,), u, v, cells
 
 
 def _doubleton(a1: int, a2: int) -> Layout:
@@ -194,9 +194,9 @@ def _doubleton(a1: int, a2: int) -> Layout:
         raise ValueError("doubleton values must be positive")
     if a2 <= a1:
         raise ValueError(f"need a1 < a2, got {a1} >= {a2}")
-    _, u, v, rects = _singleton(a1)
-    u.append(("X", a2 - a1, a1))
-    return (a1, a2), u, [(label, size, a2) for label, size, _ in v], rects
+    _, u, v, cells = _singleton(a1)
+    u.append(("X", a2 - a1, a1, None))
+    return (a1, a2), u, [(label, size, a2, rank) for label, size, _, rank in v], cells
 
 
 def _triple(a1: int, a2: int, a3: int) -> Layout:
@@ -212,15 +212,13 @@ def _triple(a1: int, a2: int, a3: int) -> Layout:
     if not a1 < a2 < a3:
         raise ValueError(f"need a1 < a2 < a3, got {(a1, a2, a3)}")
     if a3 > 2 * a2:
-        u = [("X1", a2, a1), ("X2", a3 - 2 * a2, a3)]
-        v = [("Y1", a1, a2), ("Y2", a3 - 2 * a1, a3)]
-        rects = {("X2", "Y1"): U_TO_V, ("X1", "Y2"): V_TO_U}
+        u = [("X1", a2, a1, 1), ("X2", a3 - 2 * a2, a3, 2)]
+        v = [("Y1", a1, a2, 1), ("Y2", a3 - 2 * a1, a3, 2)]
     else:
         beaten = a3 - a2  # >= 1 and <= a2 because a2 < a3 <= 2*a2
-        u = [("X1_dominated", beaten, a1), ("X1_rest", a2 - beaten, a2)]
-        v = [("Y1", a1, a2), ("Y2", a2 - a1, a3)]
-        rects = {("X1_dominated", "Y2"): V_TO_U}
-    return (a1, a2, a3), u, v, rects
+        u = [("X1_dominated", beaten, a1, 1), ("X1_rest", a2 - beaten, a2, None)]
+        v = [("Y1", a1, a2, None), ("Y2", a2 - a1, a3, 2)]
+    return (a1, a2, a3), u, v, {}
 
 
 def _geometric(a: int, d: int, n: int) -> Layout:
@@ -244,31 +242,27 @@ def _geometric_layered(a: int, d: int, n: int) -> Layout:
     """Ratio d >= 3: a two-block base realizing {a, a*d}, then one new
     dominating layer per extra term.
 
-    Each layer beats everything older on the opposite side: old scores
-    are unchanged (the layer adds equally to the other part's size and
-    to indegrees) and the layer itself scores a * d**e.
+    Layer e has rank e, so it beats everything older on the opposite
+    side: old scores are unchanged (the layer adds equally to the other
+    part's size and to indegrees) and the layer itself scores a * d**e.
     """
-    u = [("X1", a, a), ("X2", a * d - 2 * a, a * d)]
-    v = [("Y1", a, a), ("Y2", a * d - 2 * a, a * d)]
-    rects = {("X2", "Y1"): U_TO_V, ("X1", "Y2"): V_TO_U}
+    u = [("X1", a, a, 0), ("X2", a * d - 2 * a, a * d, 1)]
+    v = [("Y1", a, a, 0), ("Y2", a * d - 2 * a, a * d, 1)]
     part = a * d - a  # current size of each part
     for e in range(2, n + 1):
         target = a * d**e
         size = target - 2 * part
         if size <= 0:
             raise AssertionError(f"layer {e} size {size} must be positive for d >= 3")
-        x, y = f"X_layer{e}", f"Y_layer{e}"
-        rects.update({(x, older): U_TO_V for older, _, _ in v})
-        rects.update({(older, y): V_TO_U for older, _, _ in u})
-        u.append((x, size, target))
-        v.append((y, size, target))
+        u.append((f"X_layer{e}", size, target, e))
+        v.append((f"Y_layer{e}", size, target, e))
         part = target - part
-    return tuple(a * d**i for i in range(n + 1)), u, v, rects
+    return tuple(a * d**i for i in range(n + 1)), u, v, {}
 
 
 def _geometric_ratio2(a: int, n: int) -> Layout:
     """Ratio 2, n >= 2: blocks indexed 0..n with index 2 absent from U
-    and index 1 absent from V; higher block index beats lower.
+    and index 1 absent from V; a block's rank is its index.
 
     Block sizes: indices 0, 1, 2 have size a; for i >= 3 the size is
     2**i * a minus twice the total size of the lower U-side blocks.
@@ -281,11 +275,9 @@ def _geometric_ratio2(a: int, n: int) -> Layout:
         if size[i] <= 0:
             raise AssertionError(f"block {i} size {size[i]} must be positive")
         acc += size[i]
-    u_indices = [0, 1, *range(3, n + 1)]
-    v_indices = [0, 2, *range(3, n + 1)]
-    u = [(f"X{i}", size[i], 2**i * a) for i in u_indices]
-    v = [(f"Y{j}", size[j], 2**j * a) for j in v_indices]
-    return tuple(a * 2**i for i in range(n + 1)), u, v, _ladder(u_indices, v_indices)
+    u = [(f"X{i}", size[i], 2**i * a, i) for i in (0, 1, *range(3, n + 1))]
+    v = [(f"Y{j}", size[j], 2**j * a, j) for j in (0, 2, *range(3, n + 1))]
+    return tuple(a * 2**i for i in range(n + 1)), u, v, {}
 
 
 def _arithmetic(a: int, d: int, n: int) -> Layout:
@@ -305,11 +297,11 @@ def _arithmetic(a: int, d: int, n: int) -> Layout:
 
 def _arithmetic_wide(a: int, d: int, n: int) -> Layout:
     """d > a: blocks 0..n on both parts, sizes alternating a and d - a;
-    higher block index beats lower.  Block i scores a + i*d."""
+    a block's rank is its index.  Block i scores a + i*d."""
     width = [a if i % 2 == 0 else d - a for i in range(n + 1)]
-    u = [(f"X{i}", width[i], a + i * d) for i in range(n + 1)]
-    v = [(f"Y{i}", width[i], a + i * d) for i in range(n + 1)]
-    return tuple(a + i * d for i in range(n + 1)), u, v, _ladder(range(n + 1), range(n + 1))
+    u = [(f"X{i}", width[i], a + i * d, i) for i in range(n + 1)]
+    v = [(f"Y{i}", width[i], a + i * d, i) for i in range(n + 1)]
+    return tuple(a + i * d for i in range(n + 1)), u, v, {}
 
 
 def _arithmetic_equal(a: int, n: int) -> Layout:
@@ -317,18 +309,18 @@ def _arithmetic_equal(a: int, n: int) -> Layout:
 
     U holds block 0 plus the odd-indexed blocks up to 2k-1, V holds the
     even-indexed blocks (up to 2k-2 for odd n, 2k for even n), all of
-    size a.  Higher index beats lower, except that block X0 is in no
-    rectangle; X0 scores k*a for odd n and (k+1)*a for even n, every
-    other block with index i scores (i+1)*a.
+    size a.  A block's rank is its index, except that block X0 is
+    unranked and meets no arc; X0 scores k*a for odd n and (k+1)*a for
+    even n, every other block with index i scores (i+1)*a.
     """
     if n == 0:
         return _singleton(a)
     k = (n + 1) // 2
     x0_score = k * a if n % 2 else (k + 1) * a
     odd, even = range(1, 2 * k, 2), range(0, n + 1, 2)
-    u = [("X0", a, x0_score)] + [(f"X{i}", a, (i + 1) * a) for i in odd]
-    v = [(f"Y{j}", a, (j + 1) * a) for j in even]
-    return tuple(a * (i + 1) for i in range(n + 1)), u, v, _ladder(odd, even)
+    u = [("X0", a, x0_score, None)] + [(f"X{i}", a, (i + 1) * a, i) for i in odd]
+    v = [(f"Y{j}", a, (j + 1) * a, j) for j in even]
+    return tuple(a * (i + 1) for i in range(n + 1)), u, v, {}
 
 
 def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
@@ -336,9 +328,10 @@ def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
     of size d; V holds block 0 (size a) plus even-indexed blocks of
     size d up to 2k where k = n // 2.
 
-    Dominations: X_i beats Y_j for i > j > 1; every vertex of every
-    X_i with odd i >= 3 beats the same lowest-indexed d vertices of
-    Y0; Y_j beats X_i for j > i > 0.  That leaves X0 untouched at
+    Ranks: X_i and Y_j rank by index, the lowest d vertices of Y0 rank
+    1, and X0 and the rest of Y0 are unranked.  So X_i beats Y_j for
+    i > j > 1, every X_i with odd i >= 3 beats that slice of Y0, and
+    Y_j beats X_i for j > i > 0.  That leaves X0 untouched at
     score a + k*d, X1 at a, X_i at a + i*d, the beaten slice of Y0 at
     a + d, the rest of Y0 at a + k*d (even n) or a + (k+1)*d (odd n),
     and Y_j at a + j*d.
@@ -349,13 +342,12 @@ def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
         return _doubleton(a, a + d)
     k = n // 2
     odd, even = range(1, n + 1, 2), range(2, n + 1, 2)
-    u = [("X0", a, a + k * d)] + [(f"X{i}", d, a if i == 1 else a + i * d) for i in odd]
+    u = [("X0", a, a + k * d, None)]
+    u += [(f"X{i}", d, a if i == 1 else a + i * d, i) for i in odd]
     y0_rest_score = a + k * d if n % 2 == 0 else a + (k + 1) * d
-    v = [("Y0_dominated", d, a + d), ("Y0_rest", a - d, y0_rest_score)]
-    v += [(f"Y{j}", d, a + j * d) for j in even]
-    rects = _ladder(odd, even)
-    rects.update({(f"X{i}", "Y0_dominated"): U_TO_V for i in odd if i >= 3})
-    return tuple(a + i * d for i in range(n + 1)), u, v, rects
+    v = [("Y0_dominated", d, a + d, 1), ("Y0_rest", a - d, y0_rest_score, None)]
+    v += [(f"Y{j}", d, a + j * d, j) for j in even]
+    return tuple(a + i * d for i in range(n + 1)), u, v, {}
 
 
 _BUILDERS = {

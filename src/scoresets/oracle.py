@@ -191,9 +191,11 @@ class RealizabilityCatalog:
                 raise ValueError(f"catalog line {number}: unknown record kind: {kind!r}")
             if type(m) is not int or type(n) is not int:
                 raise ValueError(f"catalog line {number}: 'm' and 'n' must be integers")
-            _require_range(m, n)
             witness = Witness(m, n, index)
-            graph = witness.graph()
+            try:
+                graph = witness.graph()  # checks the shape and the index range
+            except ValueError as exc:
+                raise ValueError(f"catalog line {number}: {exc}") from None
             if kind == "set":
                 key, table = graph.score_set().values, catalog.sets
             else:

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scoresets
 from scoresets.cli import main
 
 
@@ -175,6 +181,29 @@ def test_realize_dense_limit_exit_1(capsys, monkeypatch, fmt):
     code, out, err = run(capsys, "realize", "--set", values, "--format", fmt)
     assert code == 1 and out == ""
     assert "dense limit" in err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def test_realize_above_limit_ladder_exits_1():
+    # {2,4,...,32770}: arithmetic d == a, 16386 x 16386 in blocks of size 2,
+    # just above the dense limit; it must be refused within a 2 GiB address space
+    values = ",".join(map(str, range(2, 32771, 2)))
+    src = str(Path(scoresets.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scoresets", "realize", "--set", values, "--format", "summary"],
+        env=env,
+        preexec_fn=_limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "dense limit" in proc.stderr
 
 
 def test_realize_summary_allocates_no_dense_graph(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -379,13 +380,31 @@ def test_realize_refuses_zero_and_empty():
 def test_verify_catches_tampering():
     r = build(Family("Singleton", (2,)))
     r.verify()
-    for key, state in [
-        (("X1", "Y1"), ArcState.ABSENT),  # the rectangle loses its arcs
-        (("X1", "Y2"), ArcState.U_TO_V),  # the rectangle is reversed
+    for cell, state in [
+        (0, ArcState.ABSENT),  # X1 against Y1 loses its arcs
+        (1, ArcState.U_TO_V),  # X1 against Y2 is reversed
     ]:
-        tampered = replace(r, rects={**r.rects, key: state})
+        states = bytearray(r.states)
+        states[cell] = state
+        tampered = replace(r, states=bytes(states))
         with pytest.raises(RealizationError):
             tampered.verify()
+
+
+def test_realizations_compare_by_value():
+    assert realize(ScoreSet((1, 2, 5))) == realize(ScoreSet((1, 2, 5)))
+    assert realize(ScoreSet((1, 2, 5))) != realize(ScoreSet((1, 2, 6)))
+
+
+def test_ladder_layout_memory_grows_with_blocks_not_pairs():
+    # {1..2000}: 1001 U and 1000 V blocks of size 1, about 10**6 vertex pairs
+    tracemalloc.start()
+    try:
+        build(classify(ScoreSet(range(1, 2001)))).verify()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak} bytes"
 
 
 def test_graph_catches_a_fill_that_disagrees_with_the_layout(monkeypatch):
@@ -466,11 +485,13 @@ def test_realize_output_matches_golden_digest(branch):
 
 @pytest.mark.parametrize(
     "values",
-    [values for values, _, _ in GOLDEN.values()] + [(1,), (1, 2), (1, 2, 4), (2, 3, 6)],
+    [values for values, _, _ in GOLDEN.values()]
+    + [(1,), (1, 2), (1, 2, 4), (2, 3, 6), tuple(range(1, 13))],
 )
 def test_layout_scores_equal_dense_scores(values):
     # every builder branch, plus layouts with empty blocks: X1, X2, Y1, Y2
-    # of {1} and {1, 2}, X1_rest of the narrow triples {1, 2, 4} and {2, 3, 6}
+    # of {1} and {1, 2}, X1_rest of the narrow triples {1, 2, 4} and {2, 3, 6};
+    # {1..12} has blocks of size 1
     r = realize(ScoreSet(values))
     g = r.graph
     per_vertex = ([g.score_u(u) for u in range(g.m)], [g.score_v(v) for v in range(g.n)])

@@ -310,11 +310,11 @@ def test_from_jsonl_rejects_tampered_records():
     ]
     for record in tampered:
         line = json.dumps(record, separators=(",", ":"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="catalog line"):
             RealizabilityCatalog.from_jsonl(text + line + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="catalog line"):
         RealizabilityCatalog.from_jsonl('{"kind":"set"}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="catalog line"):
         RealizabilityCatalog.from_jsonl("[1]\n")
 
 
