@@ -8,7 +8,6 @@ from .graph_core import (
     ScoreSet,
 )
 from .criteria import (
-    CriterionVerdict,
     Violation,
     check_bipartite_pair,
     check_oriented_scores,
@@ -43,7 +42,6 @@ __all__ = [
     "BipartiteOrientedGraph",
     "Block",
     "BudgetExceededError",
-    "CriterionVerdict",
     "DEFAULT_BUDGET",
     "EnumerationSpace",
     "EquivalenceReport",

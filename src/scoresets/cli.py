@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .constructions import UnsupportedScoreSetError, realize
 from .graph_core import BipartiteOrientedGraph, ScoreSequencePair, ScoreSet
-from .criteria import CriterionVerdict, check_bipartite_pair, check_oriented_scores
+from .criteria import check_bipartite_pair, check_oriented_scores
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -186,29 +186,18 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _describe(verdict: CriterionVerdict, names: tuple[str, ...]) -> str:
-    if verdict.valid:
-        return "valid"
-    w = verdict.witness
-    assert w is not None
-    where = ", ".join(f"{name}={i}" for name, i in zip(names, w.indices))
-    if w.equality:
-        return f"invalid at ({where}): {w.lhs} != {w.rhs} (equality required)"
-    return f"invalid at ({where}): {w.lhs} < {w.rhs}"
-
-
 def _cmd_check_pair(args: argparse.Namespace) -> int:
     a = _parse_int_list(args.a, "--a")
     b = _parse_int_list(args.b, "--b")
-    verdict = check_bipartite_pair(ScoreSequencePair(tuple(a), tuple(b)))
-    print(_describe(verdict, ("p", "q")))
+    violation = check_bipartite_pair(ScoreSequencePair(tuple(a), tuple(b)))
+    print("valid" if violation is None else violation.describe(("p", "q")))
     return 0
 
 
 def _cmd_check_oriented(args: argparse.Namespace) -> int:
     scores = _parse_int_list(args.scores, "--scores")
-    verdict = check_oriented_scores(scores)
-    print(_describe(verdict, ("k",)))
+    violation = check_oriented_scores(scores)
+    print("valid" if violation is None else violation.describe(("k",)))
     return 0
 
 

@@ -13,9 +13,10 @@ block index.  Partial dominations are separate blocks (``X1_dominated``
 part, so only the lowest-indexed slice is dominated.  ``_assemble``
 tiles the blocks, refuses layouts of more than ``2**28`` pairs (the
 dense limit, whatever the output will be) and only then stores one
-``ArcState`` byte per block pair.  ``realize`` verifies the layout
-itself: a block's score is its part offset plus the size-weighted sum
-of its row of states, so the audit costs O(m + n + block pairs).
+``ArcState`` byte per block pair.  ``build`` verifies every layout
+before returning it: a block's score is its part offset plus the
+size-weighted sum of its row of states, so the audit costs
+O(m + n + block pairs).
 ``Realization.graph`` builds the dense graph on first use and scores it
 again against the layout.
 
@@ -117,10 +118,10 @@ class Realization:
         got_set = ScoreSet.from_values(u_scores + v_scores)
         if got_set != self.requested:
             raise RealizationError(f"score set is {got_set}, requested {self.requested}")
-        verdict = check_bipartite_pair(ScoreSequencePair(sorted(u_scores), sorted(v_scores)))
-        if not verdict.valid:
+        violation = check_bipartite_pair(ScoreSequencePair(sorted(u_scores), sorted(v_scores)))
+        if violation is not None:
             raise RealizationError(
-                f"constructed graph fails the sequence criterion at {verdict.witness}"
+                f"constructed graph fails the sequence criterion: {violation.describe(('p', 'q'))}"
             )
 
     @cached_property
@@ -385,7 +386,7 @@ def classify(score_set: ScoreSet) -> Family:
 
 
 def build(family: Family) -> Realization:
-    """Dispatch a classified family to its builder."""
+    """Dispatch a classified family to its builder and verify the layout."""
     builder = _BUILDERS.get(family.name)
     if builder is None:
         raise UnsupportedScoreSetError(
@@ -394,13 +395,14 @@ def build(family: Family) -> Realization:
             "or arithmetic progressions; 'scoresets search' looks for a witness "
             "within given part sizes"
         )
-    return _assemble(builder(*family.params), family)
+    result = _assemble(builder(*family.params), family)
+    result.verify()
+    return result
 
 
 def realize(score_set: ScoreSet) -> Realization:
-    """Classify, build, and self-verify a realization of ``score_set``."""
+    """Classify and build a realization of ``score_set``; ``build`` verifies it."""
     result = build(classify(score_set))
-    result.verify()
     if result.requested != score_set:
         raise RealizationError(
             f"builder realized {result.requested}, caller asked for {score_set}"

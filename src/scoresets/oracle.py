@@ -220,6 +220,8 @@ def catalog_for_shape(
     pairs: bool = True,
 ) -> RealizabilityCatalog:
     """Catalog of the score sets and/or sequence pairs attained at one shape."""
+    if not (sets or pairs):
+        raise ValueError("a catalog needs sets=True or pairs=True")
     _require_budget(m, n, budget)
     catalog = RealizabilityCatalog()
     for lo, u_scores, v_scores in _scan(m, n):
@@ -277,7 +279,8 @@ def bounded_search(
     """First graph within the shape bounds whose score set equals the
     target, or None after exhausting every shape.
 
-    A None answer certifies non-existence only within the bounds.
+    The witness is scored again before it is returned.  A None answer
+    certifies non-existence only within the bounds.
     Shapes that provably cannot work are skipped: a shape is hopeless
     when the target has more values than vertices or its maximum
     exceeds every attainable score.
@@ -291,7 +294,12 @@ def bounded_search(
             masks = _set_masks(u_scores, v_scores)
             hits = np.nonzero(masks == target)[0]
             if hits.size:
-                return EnumerationSpace(m, n).decode(lo + int(hits[0]))
+                witness = EnumerationSpace(m, n).decode(lo + int(hits[0]))
+                if witness.score_set() != score_set:
+                    raise RuntimeError(
+                        f"the {m}x{n} witness scores {witness.score_set()}, not {score_set}"
+                    )
+                return witness
     return None
 
 
@@ -329,7 +337,7 @@ def criterion_equivalence(
         (a, b)
         for a in combinations_with_replacement(range(2 * n + 1), m)
         for b in combinations_with_replacement(range(2 * m + 1), n)
-        if check_bipartite_pair(ScoreSequencePair(a, b)).valid
+        if check_bipartite_pair(ScoreSequencePair(a, b)) is None
     }
     return EquivalenceReport(
         m,

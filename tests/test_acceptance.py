@@ -64,7 +64,6 @@ def _grid_entries():
         realization = build(family)
         g = realization.graph
         pair = g.score_sequences()
-        verdict = check_bipartite_pair(pair)
         entries.append(
             GridEntry(
                 label=label,
@@ -72,7 +71,7 @@ def _grid_entries():
                 got=g.score_set().values,
                 m=g.m,
                 n=g.n,
-                criterion_valid=verdict.valid,
+                criterion_valid=check_bipartite_pair(pair) is None,
                 sum_a=sum(pair.a),
                 sum_b=sum(pair.b),
                 u_block_sizes={b.label: b.size for b in realization.u_blocks},

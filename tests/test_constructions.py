@@ -362,7 +362,7 @@ def test_realize_singleton():
 def test_realize_power_of_two_progression():
     r = realize(ScoreSet((1, 2, 4, 8, 16)))
     assert r.graph.score_set() == ScoreSet((1, 2, 4, 8, 16))
-    assert check_bipartite_pair(r.graph.score_sequences()).valid
+    assert check_bipartite_pair(r.graph.score_sequences()) is None
 
 
 def test_realize_refuses_unsupported():
@@ -389,6 +389,31 @@ def test_verify_catches_tampering():
         tampered = replace(r, states=bytes(states))
         with pytest.raises(RealizationError):
             tampered.verify()
+
+
+def test_build_verifies_the_layout(monkeypatch):
+    import scoresets.constructions as constructions
+
+    def overpromising(a1, a2, a3):  # promises X1 one point above what it scores
+        requested, u, v, cells = constructions._triple(a1, a2, a3)
+        label, size, score, rank = u[0]
+        return requested, [(label, size, score + 1, rank), *u[1:]], v, cells
+
+    monkeypatch.setitem(constructions._BUILDERS, "Triple", overpromising)
+    with pytest.raises(RealizationError, match="block X1 scores 1, expected 2"):
+        build(Family("Triple", (1, 2, 5)))
+
+
+def test_verify_words_the_criterion_violation(monkeypatch):
+    import scoresets.constructions as constructions
+    from scoresets.criteria import Violation
+
+    def failing(pair):
+        return Violation((1, 1), 0, 2)
+
+    monkeypatch.setattr(constructions, "check_bipartite_pair", failing)
+    with pytest.raises(RealizationError, match=r"criterion: invalid at \(p=1, q=1\): 0 < 2$"):
+        realize(ScoreSet((1, 2, 5)))
 
 
 def test_realizations_compare_by_value():

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import graphs, nondecreasing_sequences
-from scoresets.criteria import (
-    CriterionVerdict,
-    Violation,
-    check_bipartite_pair,
-    check_oriented_scores,
-)
+from scoresets.criteria import Violation, check_bipartite_pair, check_oriented_scores
 from scoresets.graph_core import ScoreSequencePair
 
 
@@ -18,12 +13,12 @@ def naive_check_oriented(scores):
     for k in range(1, len(scores) + 1):
         total = sum(scores[:k])
         if total < k * (k - 1):
-            return CriterionVerdict(False, Violation((k,), total, k * (k - 1)))
+            return Violation((k,), total, k * (k - 1))
     total = sum(scores)
     full = len(scores) * (len(scores) - 1)
     if total != full:
-        return CriterionVerdict(False, Violation((len(scores),), total, full, equality=True))
-    return CriterionVerdict(True)
+        return Violation((len(scores),), total, full, equality=True)
+    return None
 
 
 def naive_check_pair(a, b):
@@ -33,21 +28,17 @@ def naive_check_pair(a, b):
         for q in range(1, n + 1):
             lhs = sum(a[:p]) + sum(b[:q])
             if lhs < 2 * p * q:
-                return CriterionVerdict(False, Violation((p, q), lhs, 2 * p * q))
+                return Violation((p, q), lhs, 2 * p * q)
     total = sum(a) + sum(b)
     if total != 2 * m * n:
-        return CriterionVerdict(False, Violation((m, n), total, 2 * m * n, equality=True))
-    return CriterionVerdict(True)
+        return Violation((m, n), total, 2 * m * n, equality=True)
+    return None
 
 
 def test_oriented_examples():
-    assert check_oriented_scores([1, 1]).valid
-    verdict = check_oriented_scores([0, 0])
-    assert not verdict.valid
-    assert verdict.witness == Violation((2,), 0, 2)
-    verdict = check_oriented_scores([2, 2])
-    assert not verdict.valid
-    assert verdict.witness == Violation((2,), 4, 2, equality=True)
+    assert check_oriented_scores([1, 1]) is None
+    assert check_oriented_scores([0, 0]) == Violation((2,), 0, 2)
+    assert check_oriented_scores([2, 2]) == Violation((2,), 4, 2, equality=True)
 
 
 def test_oriented_rejects_bad_input():
@@ -58,12 +49,11 @@ def test_oriented_rejects_bad_input():
 
 
 def test_pair_examples():
-    assert check_bipartite_pair(ScoreSequencePair((1,), (1,))).valid
-    verdict = check_bipartite_pair(ScoreSequencePair((0,), (0,)))
-    assert verdict.witness == Violation((1, 1), 0, 2)
+    assert check_bipartite_pair(ScoreSequencePair((1,), (1,))) is None
+    assert check_bipartite_pair(ScoreSequencePair((0,), (0,))) == Violation((1, 1), 0, 2)
     pair = ScoreSequencePair((1, 1, 5), (2, 5, 5, 5))
     assert sum(pair.a) + sum(pair.b) == 24 == 2 * 3 * 4
-    assert check_bipartite_pair(pair).valid
+    assert check_bipartite_pair(pair) is None
 
 
 def test_pair_rejects_bad_input():
@@ -74,14 +64,13 @@ def test_pair_rejects_bad_input():
 
 
 def test_pair_equality_failure_is_flagged():
-    verdict = check_bipartite_pair(ScoreSequencePair((2,), (2,)))
-    assert not verdict.valid
-    assert verdict.witness == Violation((1, 1), 4, 2, equality=True)
+    violation = check_bipartite_pair(ScoreSequencePair((2,), (2,)))
+    assert violation == Violation((1, 1), 4, 2, equality=True)
 
 
 def test_pair_exhaustive_against_naive():
     for m in (1, 2, 3):
-        for n in (1, 2):
+        for n in (1, 2, 3):
             for a in combinations_with_replacement(range(0, 2 * n + 2), m):
                 for b in combinations_with_replacement(range(0, 2 * m + 2), n):
                     fast = check_bipartite_pair(ScoreSequencePair(a, b))
@@ -103,22 +92,22 @@ def test_oriented_matches_naive(seq):
 
 @given(nondecreasing_sequences(), nondecreasing_sequences())
 def test_pair_witness_recomputes(a, b):
-    verdict = check_bipartite_pair(ScoreSequencePair(a, b))
-    if verdict.valid:
+    violation = check_bipartite_pair(ScoreSequencePair(a, b))
+    if violation is None:
         assert sum(a) + sum(b) == 2 * len(a) * len(b)
     else:
-        p, q = verdict.witness.indices
+        p, q = violation.indices
         lhs = sum(a[:p]) + sum(b[:q])
-        assert lhs == verdict.witness.lhs
-        assert verdict.witness.rhs == 2 * p * q
-        if not verdict.witness.equality:
+        assert lhs == violation.lhs
+        assert violation.rhs == 2 * p * q
+        if not violation.equality:
             assert lhs < 2 * p * q
 
 
 @given(graphs())
 def test_pair_criterion_necessity_on_random_graphs(g):
-    assert check_bipartite_pair(g.score_sequences()).valid
+    assert check_bipartite_pair(g.score_sequences()) is None
 
 
 def test_empty_oriented_sequence_is_valid():
-    assert check_oriented_scores([]).valid
+    assert check_oriented_scores([]) is None

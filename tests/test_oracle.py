@@ -150,6 +150,15 @@ def test_bounded_search_returns_first_shape_in_order():
     assert (witness.m, witness.n) == (1, 2)  # shape (1, 2) precedes (2, 1)
 
 
+def test_bounded_search_rescores_its_witness(monkeypatch):
+    def empty(self, index):
+        return BipartiteOrientedGraph(self.m, self.n)
+
+    monkeypatch.setattr(oracle.EnumerationSpace, "decode", empty)
+    with pytest.raises(RuntimeError, match="1x1 witness scores"):
+        bounded_search(ScoreSet((0, 2)), 2, 2)
+
+
 def test_criterion_equivalence_small_shapes():
     report = criterion_equivalence(1, 1)
     assert report.necessity_ok and report.sufficiency_ok
@@ -176,28 +185,28 @@ def two_loop_equivalence(m, n):
     realized = set(catalog_for_shape(m, n, sets=False).pairs)
     counterexamples = []
     for a, b in sorted(realized):
-        if not oracle.check_bipartite_pair(ScoreSequencePair(a, b)).valid:
+        if oracle.check_bipartite_pair(ScoreSequencePair(a, b)) is not None:
             counterexamples.append(("necessity", a, b))
     for a in combinations_with_replacement(range(2 * n + 1), m):
         for b in combinations_with_replacement(range(2 * m + 1), n):
             if (a, b) in realized:
                 continue
-            if oracle.check_bipartite_pair(ScoreSequencePair(a, b)).valid:
+            if oracle.check_bipartite_pair(ScoreSequencePair(a, b)) is None:
                 counterexamples.append(("sufficiency", a, b))
     return counterexamples
 
 
 def test_criterion_equivalence_matches_two_loop_reference(monkeypatch):
-    from scoresets.criteria import CriterionVerdict
+    from scoresets.criteria import Violation
 
     exact = oracle.check_bipartite_pair
 
     def faulty(pair):
         # flips the verdict on a slice of both realized and unrealized pairs
-        verdict = exact(pair)
+        violation = exact(pair)
         if pair.a[0] == 1 or sum(pair.b) % 5 == 0:
-            return CriterionVerdict(not verdict.valid)
-        return verdict
+            return Violation((1, 1), 0, 0) if violation is None else None
+        return violation
 
     monkeypatch.setattr(oracle, "check_bipartite_pair", faulty)
     total = 0
@@ -222,7 +231,7 @@ def test_criterion_equivalence_1x1_passing_pairs():
         (a, b)
         for a in combinations_with_replacement(range(3), 1)
         for b in combinations_with_replacement(range(3), 1)
-        if check_bipartite_pair(ScoreSequencePair(a, b)).valid
+        if check_bipartite_pair(ScoreSequencePair(a, b)) is None
     ]
     assert passing == [((0,), (2,)), ((1,), (1,)), ((2,), (0,))]
 
@@ -291,6 +300,16 @@ def test_catalog_for_shape_emit_flags():
     assert only_sets.sets and not only_sets.pairs
     only_pairs = catalog_for_shape(1, 1, sets=False)
     assert only_pairs.pairs and not only_pairs.sets
+
+
+def test_catalog_for_shape_without_kinds_scans_nothing(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(oracle, "_chunk_scores", no_scan)
+    for m, n in [(4, 4), (5, 4)]:  # 5x4 is over the budget: the flags are checked first
+        with pytest.raises(ValueError, match="sets=True or pairs=True"):
+            catalog_for_shape(m, n, sets=False, pairs=False)
 
 
 def test_from_jsonl_rejects_tampered_records():
