@@ -32,7 +32,6 @@ from .oracle import (
     catalog_for_shape,
     criterion_equivalence,
     realizable_sets_up_to,
-    space_size,
 )
 
 __version__ = "0.1.0"
@@ -63,5 +62,4 @@ __all__ = [
     "criterion_equivalence",
     "realizable_sets_up_to",
     "realize",
-    "space_size",
 ]

@@ -117,8 +117,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
             values.append(int(token))
         except ValueError:
             raise ValueError(f"{flag} expects comma-separated integers, got {token!r}") from None
-    if not values:
-        raise ValueError(f"{flag} must list at least one integer")
     return values
 
 

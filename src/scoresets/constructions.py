@@ -17,20 +17,20 @@ dense limit, whatever the output will be) and only then stores one
 before returning it: a block's score is its part offset plus the
 size-weighted sum of its row of states, so the audit costs
 O(m + n + block pairs).
-``Realization.graph`` builds the dense graph on first use and scores it
-again against the layout.
+``Realization.graph`` builds a new dense graph on every access and
+scores it again against the layout, so no export reads a graph that was
+changed after it was built.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
 d >= 2, and arithmetic progressions {a + i * d}.  Whether every other
-finite set of positive integers is realizable is open; ``realize``
-refuses such inputs instead of guessing.
+finite set of positive integers is realizable is open; ``classify``
+raises UnsupportedScoreSetError for such inputs instead of guessing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -124,9 +124,9 @@ class Realization:
                 f"constructed graph fails the sequence criterion: {violation.describe(('p', 'q'))}"
             )
 
-    @cached_property
+    @property
     def graph(self) -> BipartiteOrientedGraph:
-        """The dense graph, built on first use and re-scored against the layout."""
+        """A new dense graph, built on each access and re-scored against the layout."""
         g = BipartiteOrientedGraph(self.m, self.n)
         dense = np.frombuffer(g._arcs, dtype=np.uint8).reshape(self.m, self.n)
         v_size = [b.size for b in self.v_blocks]
@@ -253,8 +253,6 @@ def _geometric_layered(a: int, d: int, n: int) -> Layout:
     for e in range(2, n + 1):
         target = a * d**e
         size = target - 2 * part
-        if size <= 0:
-            raise AssertionError(f"layer {e} size {size} must be positive for d >= 3")
         u.append((f"X_layer{e}", size, target, e))
         v.append((f"Y_layer{e}", size, target, e))
         part = target - part
@@ -273,8 +271,6 @@ def _geometric_ratio2(a: int, n: int) -> Layout:
     acc = size[0] + size[1]  # lower U-side sizes (index 2 excluded)
     for i in range(3, n + 1):
         size[i] = 2**i * a - 2 * acc
-        if size[i] <= 0:
-            raise AssertionError(f"block {i} size {size[i]} must be positive")
         acc += size[i]
     u = [(f"X{i}", size[i], 2**i * a, i) for i in (0, 1, *range(3, n + 1))]
     v = [(f"Y{j}", size[j], 2**j * a, j) for j in (0, 2, *range(3, n + 1))]
@@ -366,36 +362,33 @@ def classify(score_set: ScoreSet) -> Family:
     Small sets win over progression readings: sizes 1..3 classify as
     Singleton / Doubleton / Triple regardless of any progression
     structure.  Larger sets classify as Arithmetic (constant difference)
-    before Geometric (constant exact integer ratio).  Sets containing 0
-    are Unsupported: no builder covers them, although some, such as
-    {0, 2}, have small witnesses that ``bounded_search`` finds.
+    before Geometric (constant exact integer ratio).  Any other set,
+    and every set containing 0, raises UnsupportedScoreSetError: no
+    builder covers it, although some, such as {0, 2}, have small
+    witnesses that ``bounded_search`` finds.
     """
     vals = score_set.values
-    if vals[0] == 0:
-        return Family("Unsupported", vals)
-    if len(vals) <= 3:
-        return Family(("Singleton", "Doubleton", "Triple")[len(vals) - 1], vals)
-    diffs = {vals[i + 1] - vals[i] for i in range(len(vals) - 1)}
-    if len(diffs) == 1:
-        return Family("Arithmetic", (vals[0], diffs.pop(), len(vals) - 1))
-    if all(vals[i + 1] % vals[i] == 0 for i in range(len(vals) - 1)):
-        ratios = {vals[i + 1] // vals[i] for i in range(len(vals) - 1)}
-        if len(ratios) == 1:
-            return Family("Geometric", (vals[0], ratios.pop(), len(vals) - 1))
-    return Family("Unsupported", vals)
+    if vals[0] > 0:
+        if len(vals) <= 3:
+            return Family(("Singleton", "Doubleton", "Triple")[len(vals) - 1], vals)
+        diffs = {vals[i + 1] - vals[i] for i in range(len(vals) - 1)}
+        if len(diffs) == 1:
+            return Family("Arithmetic", (vals[0], diffs.pop(), len(vals) - 1))
+        if all(vals[i + 1] % vals[i] == 0 for i in range(len(vals) - 1)):
+            ratios = {vals[i + 1] // vals[i] for i in range(len(vals) - 1)}
+            if len(ratios) == 1:
+                return Family("Geometric", (vals[0], ratios.pop(), len(vals) - 1))
+    raise UnsupportedScoreSetError(
+        f"no construction covers {score_set}: "
+        "supported are sets of positive integers of size 1-3 and geometric "
+        "or arithmetic progressions; 'scoresets search' looks for a witness "
+        "within given part sizes"
+    )
 
 
 def build(family: Family) -> Realization:
     """Dispatch a classified family to its builder and verify the layout."""
-    builder = _BUILDERS.get(family.name)
-    if builder is None:
-        raise UnsupportedScoreSetError(
-            f"no construction covers {{{','.join(map(str, family.params))}}}: "
-            "supported are sets of positive integers of size 1-3 and geometric "
-            "or arithmetic progressions; 'scoresets search' looks for a witness "
-            "within given part sizes"
-        )
-    result = _assemble(builder(*family.params), family)
+    result = _assemble(_BUILDERS[family.name](*family.params), family)
     result.verify()
     return result
 

@@ -96,9 +96,6 @@ class ScoreSet:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __contains__(self, value: object) -> bool:
-        return value in self.values
-
     def __str__(self) -> str:
         return "{" + ",".join(str(v) for v in self.values) + "}"
 
@@ -192,8 +189,6 @@ class BipartiteOrientedGraph:
             return NotImplemented
         return self.m == other.m and self.n == other.n and self._arcs == other._arcs
 
-    __hash__ = None  # type: ignore[assignment]  # mutable value
-
     def __repr__(self) -> str:
         present = len(self._arcs) - self._arcs.count(0)
         return f"BipartiteOrientedGraph(m={self.m}, n={self.n}, arcs={present})"
@@ -250,18 +245,12 @@ class BipartiteOrientedGraph:
     def to_dot(self, *, blocks: tuple[Sequence[Block], Sequence[Block]] | None = None) -> str:
         """Graphviz rendering with clusters for the two parts; nodes of
         ``blocks`` carry their block label."""
-        u_label, v_label = map(_label_lookup, blocks or ((), ()))
         lines = ["digraph {"]
-        lines.append("  subgraph cluster_U {")
-        lines.append('    label="U";')
-        for u in range(self.m):
-            lines.append(_node_line("u", u, u_label.get(u)))
-        lines.append("  }")
-        lines.append("  subgraph cluster_V {")
-        lines.append('    label="V";')
-        for v in range(self.n):
-            lines.append(_node_line("v", v, v_label.get(v)))
-        lines.append("  }")
+        for part, size, part_blocks in zip("UV", (self.m, self.n), blocks or ((), ())):
+            label = {i: b.label for b in part_blocks for i in b.indices()}
+            lines += [f"  subgraph cluster_{part} {{", f'    label="{part}";']
+            lines += [_node_line(part.lower(), i, label.get(i)) for i in range(size)]
+            lines.append("  }")
         lines.extend(
             f"  u{u} -> v{v};" if s == 1 else f"  v{v} -> u{u};"
             for u, v, s in zip(*self._present())
@@ -272,10 +261,6 @@ class BipartiteOrientedGraph:
 
 def _block_doc(block: Block) -> dict:
     return {"label": block.label, "from": block.start, "to": block.stop}
-
-
-def _label_lookup(blocks: Sequence[Block]) -> dict[int, str]:
-    return {i: block.label for block in blocks for i in block.indices()}
 
 
 def _node_line(prefix: str, index: int, label: str | None) -> str:

@@ -32,10 +32,6 @@ class BudgetExceededError(RuntimeError):
     """The enumeration space exceeds the configured budget."""
 
 
-def space_size(m: int, n: int) -> int:
-    return 3 ** (m * n)
-
-
 def _require_range(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise ValueError(f"shape ({m}, {n}) has an empty part; both parts need a vertex")
@@ -47,15 +43,13 @@ def _require_range(m: int, n: int) -> None:
         )
 
 
-def _require_budget(m: int, n: int, budget: int) -> int:
-    _require_range(m, n)
-    total = space_size(m, n)
+def _require_budget(m: int, n: int, budget: int) -> None:
+    total = EnumerationSpace(m, n).total  # the space checks the oracle's range first
     if total > budget:
         raise BudgetExceededError(
             f"shape ({m}, {n}) has {total} assignments, budget allows {budget}; "
             "raise the budget to proceed"
         )
-    return total
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ class EnumerationSpace:
 
     @property
     def total(self) -> int:
-        return space_size(self.m, self.n)
+        return 3 ** (self.m * self.n)
 
     def decode(self, index: int) -> BipartiteOrientedGraph:
         if not 0 <= index < self.total:
@@ -114,10 +108,9 @@ def _scan(m: int, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Scores of every assignment of shape (m, n) in ascending index
     order, one chunk of ``_CHUNK`` indices at a time: yields the chunk's
     first index with its U- and V-scores."""
-    total = space_size(m, n)
-    chunk = _CHUNK
-    for lo in range(0, total, chunk):
-        yield (lo, *_chunk_scores(m, n, lo, min(lo + chunk, total)))
+    total = EnumerationSpace(m, n).total
+    for lo in range(0, total, _CHUNK):
+        yield (lo, *_chunk_scores(m, n, lo, min(lo + _CHUNK, total)))
 
 
 def _set_masks(u_scores: np.ndarray, v_scores: np.ndarray) -> np.ndarray:

@@ -330,16 +330,24 @@ def test_classify_small_sets_win():
 def test_classify_progressions():
     assert classify(ScoreSet((5, 7, 9, 11))) == Family("Arithmetic", (5, 2, 3))
     assert classify(ScoreSet((2, 6, 18, 54))) == Family("Geometric", (2, 3, 3))
-    assert classify(ScoreSet((1, 2, 4, 9))) == Family("Unsupported", (1, 2, 4, 9))
+    with pytest.raises(UnsupportedScoreSetError, match=r"no construction covers \{1,2,4,9\}"):
+        classify(ScoreSet((1, 2, 4, 9)))
     # exact divisibility required for a geometric reading
-    assert classify(ScoreSet((2, 3, 5, 8))) == Family("Unsupported", (2, 3, 5, 8))
+    with pytest.raises(UnsupportedScoreSetError):
+        classify(ScoreSet((2, 3, 5, 8)))
 
 
 def test_classify_rejections():
     with pytest.raises(ValueError):
         classify(ScoreSet(()))
     # no builder covers 0, although {0, 2} has a 1x1 witness
-    assert classify(ScoreSet((0, 1, 2))) == Family("Unsupported", (0, 1, 2))
+    with pytest.raises(UnsupportedScoreSetError, match=r"no construction covers \{0,1,2\}"):
+        classify(ScoreSet((0, 1, 2)))
+
+
+def test_build_rejects_an_unknown_family():
+    with pytest.raises(KeyError):
+        build(Family("Unsupported", (1, 2, 4, 9)))
 
 
 @pytest.mark.parametrize(
@@ -430,6 +438,13 @@ def test_ladder_layout_memory_grows_with_blocks_not_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak} bytes"
+
+
+def test_export_cannot_drift_from_its_layout():
+    r = realize(ScoreSet((1, 2, 5)))
+    r.graph.set_arc(0, 0, ArcState.V_TO_U)  # changes only the graph this access built
+    assert BipartiteOrientedGraph.from_json(r.to_json()).score_set() == r.requested
+    assert r.to_dot() == realize(ScoreSet((1, 2, 5))).to_dot()
 
 
 def test_graph_catches_a_fill_that_disagrees_with_the_layout(monkeypatch):

@@ -21,6 +21,8 @@ def test_new_graph_is_all_absent():
     g = BipartiteOrientedGraph(2, 3)
     assert all(g.arc(u, v) is ArcState.ABSENT for u in range(2) for v in range(3))
     assert (g.m, g.n) == (2, 3)
+    with pytest.raises(TypeError):  # a mutable value: __eq__ without __hash__
+        hash(BipartiteOrientedGraph(1, 1))
 
 
 @pytest.mark.parametrize("m,n", [(0, 4), (4, 0), (0, 0), (-1, 2)])
