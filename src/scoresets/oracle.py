@@ -6,6 +6,26 @@ pair (0, 0) least significant; digit values follow ArcState (0 absent,
 1 u->v, 2 v->u).  The numbering is part of the catalog file contract,
 so witnesses stay portable.
 
+The scores of every graph of shape (m, n) sum to 2mn: each U vertex
+starts at n, each V vertex at m, and every arc adds 1 to its tail and
+takes 1 from its head.  So a shape can realize a score set S only if
+(with spare = m + n - |S|, the vertices beyond one per value)
+
+    spare >= 0,  max S <= 2 * max(m, n),  and
+    sum(S) + spare * min(S) <= 2mn <= sum(S) + spare * max(S):
+
+each value of S is some vertex's score, the spare vertices score
+between min S and max S, and no score exceeds 2n in U or 2m in V.
+``bounded_search`` skips every other shape without scanning it.
+
+A graph with score set S has every U score and every V score in S.
+The score of U vertex u depends on row u alone (the digits u * n ..
+u * n + n - 1), that of V vertex v on column v alone.  So at larger
+shapes ``bounded_search`` combines only the rows whose U score lies in
+S or, where that makes at least four times as many assignments, only
+the columns whose V score does, and scores just those; the least index
+among the hits is the first witness a full scan would find.
+
 Bulk scans work on contiguous index chunks with vectorized scoring;
 per-chunk results merge associatively, so the outcome is independent of
 the chunk size.  Every entry point enforces a budget cap on 3**(m*n)
@@ -26,6 +46,10 @@ from .graph_core import _NET, BipartiteOrientedGraph, ScoreSequencePair, ScoreSe
 
 DEFAULT_BUDGET = 3**16
 _CHUNK = 1 << 18
+# assignments per block of the row and column lane: its int64 temporaries
+# stay at 256 KiB whatever the target, so no search frees a block large
+# enough to raise glibc's malloc thresholds for the rest of the process
+_BLOCK = 1 << 15
 
 
 class BudgetExceededError(RuntimeError):
@@ -121,6 +145,124 @@ def _set_masks(u_scores: np.ndarray, v_scores: np.ndarray) -> np.ndarray:
         for col in range(scores.shape[1]):
             mask |= one << scores[:, col].astype(np.int64)
     return mask
+
+
+# _BIT[s] is the set-mask bit of score s
+_BIT = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
+
+
+def _line_table(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Own score and net shares of every state 0 .. 3**length - 1 of a
+    row of ``length`` pairs, digit v the state of pair v: the row's U
+    score, and per pair +1 (u->v), -1 (v->u) or 0 (absent)."""
+    rem = np.arange(3**length, dtype=np.int64)
+    nets = np.empty((rem.size, length), dtype=np.int8)
+    for v in range(length):
+        nets[:, v] = _NET[rem % 3]
+        rem //= 3
+    return length + nets.sum(axis=1, dtype=np.int64), nets
+
+
+def _line_choices(
+    pos: np.ndarray, weights: np.ndarray, bits: np.ndarray, nets: np.ndarray, count: int, scale: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index, own-score mask and summed nets of ``count`` lines, line k
+    taking the allowed state d_k, the base-len(weights) digits of each
+    position; line k adds ``weights[d_k] * scale**k`` to the index."""
+    index = np.zeros(pos.size, dtype=np.int64)
+    mask = np.zeros(pos.size, dtype=np.int64)
+    net = np.zeros((pos.size, nets.shape[1]), dtype=np.int8)
+    for k in range(count):
+        pos, digit = np.divmod(pos, weights.size)
+        index += weights[digit] * scale**k
+        mask |= bits[digit]
+        net += nets[digit]
+    return index, mask, net
+
+
+def _combine_lines(
+    count: int,
+    target: int,
+    weights: np.ndarray,
+    scores: np.ndarray,
+    nets: np.ndarray,
+    scale: int,
+    ordered: bool,
+) -> int | None:
+    """Least index whose set mask is ``target`` among the assignments of
+    ``count`` lines, each in one of the allowed states given by its
+    index weight, own score and nets, or None.  The other part's scores
+    are ``count`` minus the summed nets.  The lower ``low`` lines are
+    built once, the upper ones in blocks that double up to about
+    ``_BLOCK`` assignments.  If ``ordered``, positions ascend with the
+    index and the first hit is the answer; otherwise every block is
+    searched."""
+    if weights.size == 0:
+        return None
+    bits = _BIT[scores]
+    low = 1
+    while low < count - 1 and weights.size ** (low + 1) <= _BLOCK:
+        low += 1
+    lower = np.arange(weights.size**low)
+    lo_index, lo_mask, lo_net = _line_choices(lower, weights, bits, nets, low, scale)
+    upper, start, step, best = weights.size ** (count - low), 0, 1, None
+    while start < upper:
+        pos = np.arange(start, min(start + step, upper), dtype=np.int64)
+        start, step = start + step, min(2 * step, max(1, _BLOCK // lo_index.size))
+        hi_index, hi_mask, hi_net = _line_choices(pos, weights, bits, nets, count - low, scale)
+        other = count - (hi_net[:, None] + lo_net)
+        masks = hi_mask[:, None] | lo_mask
+        for v in range(nets.shape[1]):
+            masks |= _BIT[other[..., v]]
+        top, bottom = np.divmod(np.flatnonzero(masks == target), lo_index.size)
+        if top.size:
+            found = int((hi_index[top] * scale**low + lo_index[bottom]).min())
+            best = found if best is None else min(best, found)
+            if ordered:
+                break
+    return best
+
+
+def _first_by_lines(m: int, n: int, target: int) -> int | None:
+    """Least index of shape (m, n) whose set mask is ``target``, or None.
+
+    A witness has every U score and every V score in the target.  So it
+    is made of rows whose U score is, or of columns whose V score is.
+    Row u in state r adds r * 3**(n*u) to the index, so rows ascend with
+    it and stop at the first hit.  Column v is row v of the transposed
+    shape (n, m), in which each arc is reversed; its state c adds
+    ``column[c] * 3**v``, so columns search every assignment they make,
+    and are taken only where they make at most a quarter as many.
+    """
+    row_scores, row_nets = _line_table(n)
+    col_scores, col_nets = _line_table(m)
+    rows = np.flatnonzero(target >> row_scores & 1)
+    cols = np.flatnonzero(target >> col_scores & 1)
+    if rows.size**m <= 4 * cols.size**n:
+        return _combine_lines(m, target, rows, row_scores[rows], row_nets[rows], 3**n, ordered=True)
+    rem = cols.copy()
+    column = np.zeros(cols.size, dtype=np.int64)
+    for u in range(m):
+        column += (-rem % 3) * 3 ** (n * u)  # the reversed arc: 1 <-> 2
+        rem //= 3
+    return _combine_lines(n, target, column, col_scores[cols], col_nets[cols], 3, ordered=False)
+
+
+def _first_by_scan(m: int, n: int, target: int) -> int | None:
+    """Least index of shape (m, n) whose set mask is ``target``, or None,
+    by a chunked scan of every assignment."""
+    for lo, u_scores, v_scores in _scan(m, n):
+        hits = np.flatnonzero(_set_masks(u_scores, v_scores) == target)
+        if hits.size:
+            return lo + int(hits[0])
+    return None
+
+
+def _by_lines(m: int, n: int) -> bool:
+    """Whether ``bounded_search`` combines rows or columns at shape
+    (m, n): their tables hold at most 3**11 states, and below 3**7
+    assignments one direct scan costs no more."""
+    return max(m, n) <= 11 and m * n > 6
 
 
 def _mask_of(values: Iterable[int]) -> int:
@@ -225,8 +367,15 @@ def catalog_for_shape(
                 catalog.sets.setdefault(_values_of(mask_val), Witness(m, n, lo + first_idx))
         if pairs:
             rows = np.concatenate([np.sort(u_scores, axis=1), np.sort(v_scores, axis=1)], axis=1)
-            uniq_rows, first = np.unique(rows, axis=0, return_index=True)
-            for row, first_idx in zip(uniq_rows.tolist(), first.tolist()):
+            # a stable sort keeps each row's first index at the head of its run
+            order = np.lexsort(rows.T[::-1])
+            new = np.zeros(order.size, dtype=bool)
+            new[0] = True
+            for col in rows.T:
+                ranked = col[order]
+                new[1:] |= ranked[1:] != ranked[:-1]
+            first = order[new]
+            for row, first_idx in zip(rows[first].tolist(), first.tolist()):
                 key = (tuple(row[:m]), tuple(row[m:]))
                 catalog.pairs.setdefault(key, Witness(m, n, lo + first_idx))
     return catalog
@@ -262,6 +411,18 @@ def realizable_sets_up_to(
     return catalog
 
 
+def _shape_admits(values: tuple[int, ...], m: int, n: int) -> bool:
+    """The module's necessary condition for shape (m, n) to realize the
+    sorted values."""
+    spare = m + n - len(values)
+    total = sum(values)
+    return (
+        spare >= 0
+        and values[-1] <= 2 * max(m, n)
+        and total + spare * values[0] <= 2 * m * n <= total + spare * values[-1]
+    )
+
+
 def bounded_search(
     score_set: ScoreSet,
     m_max: int,
@@ -274,25 +435,28 @@ def bounded_search(
 
     The witness is scored again before it is returned.  A None answer
     certifies non-existence only within the bounds.
-    Shapes that provably cannot work are skipped: a shape is hopeless
-    when the target has more values than vertices or its maximum
-    exceeds every attainable score.
+    Shapes that provably cannot work are skipped without a scan: those
+    with fewer vertices than the target has values, those where the
+    target's maximum exceeds every attainable score, and those whose
+    score total 2mn no graph with the target's values can reach (the
+    bound in the module docstring).  Of the other shapes, those
+    ``_by_lines`` accepts are built from the rows or the columns whose
+    scores are in the target; the rest are scanned in full.
     """
     values = tuple(score_set)
     target = _mask_of(values)
     for m, n in _shapes(m_max, n_max, budget):
-        if len(values) > m + n or values[-1] > max(2 * m, 2 * n):
+        if not _shape_admits(values, m, n):
             continue
-        for lo, u_scores, v_scores in _scan(m, n):
-            masks = _set_masks(u_scores, v_scores)
-            hits = np.nonzero(masks == target)[0]
-            if hits.size:
-                witness = EnumerationSpace(m, n).decode(lo + int(hits[0]))
-                if witness.score_set() != score_set:
-                    raise RuntimeError(
-                        f"the {m}x{n} witness scores {witness.score_set()}, not {score_set}"
-                    )
-                return witness
+        first = _first_by_lines if _by_lines(m, n) else _first_by_scan
+        index = first(m, n, target)
+        if index is not None:
+            witness = EnumerationSpace(m, n).decode(index)
+            if witness.score_set() != score_set:
+                raise RuntimeError(
+                    f"the {m}x{n} witness scores {witness.score_set()}, not {score_set}"
+                )
+            return witness
     return None
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -113,6 +114,20 @@ def test_shard_merge_determinism(monkeypatch):
         assert max(sizes) == min(chunk, EnumerationSpace(2, 3).total)
 
 
+def test_pairs_lane_matches_unique_reference_across_chunks(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    m, n = 3, 3
+    reference = {}
+    for lo, u_scores, v_scores in oracle._scan(m, n):
+        rows = np.concatenate([np.sort(u_scores, axis=1), np.sort(v_scores, axis=1)], axis=1)
+        uniq_rows, first = np.unique(rows, axis=0, return_index=True)
+        for row, first_idx in zip(uniq_rows.tolist(), first.tolist()):
+            reference.setdefault((tuple(row[:m]), tuple(row[m:])), Witness(m, n, lo + first_idx))
+    pairs = catalog_for_shape(m, n, sets=False).pairs
+    # keys, witness indices and insertion order
+    assert list(pairs.items()) == list(reference.items())
+
+
 def test_visitor_and_vectorized_lanes_agree():
     m, n = 2, 3
     sets = {}
@@ -141,6 +156,80 @@ def test_bounded_search_respects_pruning_soundness():
     assert bounded_search(ScoreSet((5,)), 2, 2) is None
     # values above every attainable score are pruned without scanning
     assert bounded_search(ScoreSet((9,)), 1, 1) is None
+
+
+def test_total_score_bound_holds_on_every_catalog_set():
+    shapes = [(m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 12]
+    assert len(shapes) == 23
+    for m, n in shapes:
+        sets = catalog_for_shape(m, n, pairs=False).sets
+        for values in sets:
+            assert oracle._shape_admits(values, m, n), (m, n, values)
+        # acceptance criterion 4's sets: no scan finds them, and none is needed
+        for values in [(0,), (0, 1), (0, 1, 2)]:
+            assert values not in sets
+            assert not oracle._shape_admits(values, m, n)
+
+
+def test_bounded_search_scans_no_shape_the_bound_rules_out(monkeypatch):
+    scanned = []
+    chunk_scores = oracle._chunk_scores
+    first_by_lines = oracle._first_by_lines
+
+    def recording(m, n, lo, hi):
+        scanned.append((m, n))
+        return chunk_scores(m, n, lo, hi)
+
+    def recording_lines(m, n, target):
+        scanned.append((m, n))
+        return first_by_lines(m, n, target)
+
+    monkeypatch.setattr(oracle, "_chunk_scores", recording)
+    monkeypatch.setattr(oracle, "_first_by_lines", recording_lines)
+    for values in [(0,), (0, 1), (0, 1, 2)]:
+        assert bounded_search(ScoreSet(values), 4, 4) is None
+    assert scanned == []
+    # {0,2,6} at 1x3 fits the vertex count and the maximum, but its
+    # values sum to 8 > 2mn = 6: only 2x3 is scanned
+    assert bounded_search(ScoreSet((0, 2, 6)), 2, 3) is not None
+    assert scanned == [(2, 3)]
+    # {0,3,5} passes the bound at 1x4, 2x3 and 2x4 only; the first two
+    # are scanned, 2x4 is built from rows and holds the witness
+    scanned.clear()
+    found = bounded_search(ScoreSet((0, 3, 5)), 2, 4)
+    assert EnumerationSpace(2, 4).encode(found) == 1200
+    assert scanned == [(1, 4), (2, 3), (2, 4)]
+
+
+def test_line_lanes_find_the_scan_witness(monkeypatch):
+    # every admitted subset of {0..8}: the same first index as a full
+    # scan, or None from both, whether rows or columns are combined
+    combine = oracle._combine_lines
+    lanes = set()
+
+    def recording(count, target, weights, scores, nets, scale, ordered):
+        lanes.add(ordered)
+        return combine(count, target, weights, scores, nets, scale, ordered)
+
+    monkeypatch.setattr(oracle, "_combine_lines", recording)
+    for m, n in [(2, 4), (4, 2), (3, 3), (1, 7), (7, 1)]:
+        assert oracle._by_lines(m, n)
+        for mask in range(1, 1 << 9):
+            values = oracle._values_of(mask)
+            if oracle._shape_admits(values, m, n):
+                expected = oracle._first_by_scan(m, n, mask)
+                assert oracle._first_by_lines(m, n, mask) == expected, (m, n, values)
+    assert lanes == {True, False}
+
+
+def test_line_lanes_are_independent_of_the_block_size(monkeypatch):
+    targets = [oracle._mask_of(v) for v in [(1, 2, 3, 4, 5), (0, 2, 3, 4, 6), (2, 3, 4), (1, 5, 6)]]
+    shapes = [(3, 3), (2, 4), (4, 2)]
+    expected = [oracle._first_by_lines(m, n, target) for m, n in shapes for target in targets]
+    assert None in expected
+    for block in (1, 5, 27, 100, 1000):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        assert [oracle._first_by_lines(m, n, t) for m, n in shapes for t in targets] == expected
 
 
 def test_bounded_search_returns_first_shape_in_order():
