@@ -4,7 +4,9 @@
 Enumerates every graph with part sizes up to the given bounds, then
 reports which candidate sets over {0..max-value} no such graph attains.
 Sets containing 0 are the interesting rows: {0}, {0,1}, and {0,1,2}
-stay unrealized no matter how far the bounds are pushed.
+stay unrealized no matter how far the bounds are pushed.  That is
+proven, not just observed: the total-score bound in the docstring of
+``scoresets.oracle`` admits them at no shape.
 """
 
 import argparse

@@ -154,13 +154,10 @@ _BIT = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
 def _line_table(length: int) -> tuple[np.ndarray, np.ndarray]:
     """Own score and net shares of every state 0 .. 3**length - 1 of a
     row of ``length`` pairs, digit v the state of pair v: the row's U
-    score, and per pair +1 (u->v), -1 (v->u) or 0 (absent)."""
-    rem = np.arange(3**length, dtype=np.int64)
-    nets = np.empty((rem.size, length), dtype=np.int8)
-    for v in range(length):
-        nets[:, v] = _NET[rem % 3]
-        rem //= 3
-    return length + nets.sum(axis=1, dtype=np.int64), nets
+    score, and per pair +1 (u->v), -1 (v->u) or 0 (absent): the scores
+    of shape (1, length), each V score being 1 minus its pair's net."""
+    u_scores, v_scores = _chunk_scores(1, length, 0, 3**length)
+    return u_scores[:, 0].astype(np.int64), (1 - v_scores).astype(np.int8)
 
 
 def _line_choices(
@@ -240,12 +237,10 @@ def _first_by_lines(m: int, n: int, target: int) -> int | None:
     cols = np.flatnonzero(target >> col_scores & 1)
     if rows.size**m <= 4 * cols.size**n:
         return _combine_lines(m, target, rows, row_scores[rows], row_nets[rows], 3**n, ordered=True)
-    rem = cols.copy()
-    column = np.zeros(cols.size, dtype=np.int64)
-    for u in range(m):
-        column += (-rem % 3) * 3 ** (n * u)  # the reversed arc: 1 <-> 2
-        rem //= 3
-    return _combine_lines(n, target, column, col_scores[cols], col_nets[cols], 3, ordered=False)
+    nets = col_nets[cols]
+    # pair (u, v) has the net -nets[:, u] and so the state -nets[:, u] % 3
+    column = (-nets % 3).astype(np.int64) @ 3 ** (n * np.arange(m, dtype=np.int64))
+    return _combine_lines(n, target, column, col_scores[cols], nets, 3, ordered=False)
 
 
 def _first_by_scan(m: int, n: int, target: int) -> int | None:
@@ -367,14 +362,11 @@ def catalog_for_shape(
                 catalog.sets.setdefault(_values_of(mask_val), Witness(m, n, lo + first_idx))
         if pairs:
             rows = np.concatenate([np.sort(u_scores, axis=1), np.sort(v_scores, axis=1)], axis=1)
-            # a stable sort keeps each row's first index at the head of its run
-            order = np.lexsort(rows.T[::-1])
-            new = np.zeros(order.size, dtype=bool)
-            new[0] = True
-            for col in rows.T:
-                ranked = col[order]
-                new[1:] |= ranked[1:] != ranked[:-1]
-            first = order[new]
+            # Horner's rule over scores in [0, 2n] then [0, 2m]: codes sort as rows do
+            codes = np.zeros(rows.shape[0], dtype=np.int64)
+            for col, radix in zip(rows.T, [2 * n + 1] * m + [2 * m + 1] * n):
+                codes = codes * radix + col
+            _, first = np.unique(codes, return_index=True)
             for row, first_idx in zip(rows[first].tolist(), first.tolist()):
                 key = (tuple(row[:m]), tuple(row[m:]))
                 catalog.pairs.setdefault(key, Witness(m, n, lo + first_idx))
@@ -444,12 +436,12 @@ def bounded_search(
     scores are in the target; the rest are scanned in full.
     """
     values = tuple(score_set)
-    target = _mask_of(values)
     for m, n in _shapes(m_max, n_max, budget):
         if not _shape_admits(values, m, n):
             continue
+        # an admitted shape bounds every value by 2 * max(m, n) <= 62
         first = _first_by_lines if _by_lines(m, n) else _first_by_scan
-        index = first(m, n, target)
+        index = first(m, n, _mask_of(values))
         if index is not None:
             witness = EnumerationSpace(m, n).decode(index)
             if witness.score_set() != score_set:

@@ -187,23 +187,36 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
 
 
-def test_realize_above_limit_ladder_exits_1():
-    # {2,4,...,32770}: arithmetic d == a, 16386 x 16386 in blocks of size 2,
-    # just above the dense limit; it must be refused within a 2 GiB address space
-    values = ",".join(map(str, range(2, 32771, 2)))
+def run_in_2gib(*argv):
+    """The CLI in a fresh process limited to a 2 GiB address space."""
     src = str(Path(scoresets.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "scoresets", "realize", "--set", values, "--format", "summary"],
+    return subprocess.run(
+        [sys.executable, "-m", "scoresets", *argv],
         env=env,
         preexec_fn=_limit_address_space,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_realize_above_limit_ladder_exits_1():
+    # {2,4,...,32770}: arithmetic d == a, 16386 x 16386 in blocks of size 2,
+    # just above the dense limit; it must be refused within a 2 GiB address space
+    values = ",".join(map(str, range(2, 32771, 2)))
+    proc = run_in_2gib("realize", "--set", values, "--format", "summary")
     assert proc.returncode == 1 and proc.stdout == ""
     assert "dense limit" in proc.stderr
+
+
+def test_search_for_a_huge_value_allocates_no_mask():
+    # 10**11 exceeds every score at 1x1, so no shape is scanned and no
+    # 10**11-bit set mask is built
+    proc = run_in_2gib("search", "--set", "1,100000000000", "--max-m", "1", "--max-n", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "not realizable within bounds\n"
 
 
 def test_realize_summary_allocates_no_dense_graph(capsys, monkeypatch):

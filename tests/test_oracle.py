@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,9 +115,9 @@ def test_shard_merge_determinism(monkeypatch):
         assert max(sizes) == min(chunk, EnumerationSpace(2, 3).total)
 
 
-def test_pairs_lane_matches_unique_reference_across_chunks(monkeypatch):
-    monkeypatch.setattr(oracle, "_CHUNK", 1000)
-    m, n = 3, 3
+@pytest.mark.parametrize("m,n", [(3, 3), (2, 5), (5, 2), (1, 12)])
+def test_pairs_lane_matches_unique_reference_across_chunks(m, n, monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 1000)  # splits every scan
     reference = {}
     for lo, u_scores, v_scores in oracle._scan(m, n):
         rows = np.concatenate([np.sort(u_scores, axis=1), np.sort(v_scores, axis=1)], axis=1)
@@ -171,21 +172,22 @@ def test_total_score_bound_holds_on_every_catalog_set():
             assert not oracle._shape_admits(values, m, n)
 
 
-def test_bounded_search_scans_no_shape_the_bound_rules_out(monkeypatch):
+def record_lanes(monkeypatch, names=("_first_by_scan", "_first_by_lines")):
+    """Replace each named search lane with one that appends its shape to
+    the returned list before running."""
     scanned = []
-    chunk_scores = oracle._chunk_scores
-    first_by_lines = oracle._first_by_lines
+    for name in names:
 
-    def recording(m, n, lo, hi):
-        scanned.append((m, n))
-        return chunk_scores(m, n, lo, hi)
+        def recording(m, n, target, lane=getattr(oracle, name)):
+            scanned.append((m, n))
+            return lane(m, n, target)
 
-    def recording_lines(m, n, target):
-        scanned.append((m, n))
-        return first_by_lines(m, n, target)
+        monkeypatch.setattr(oracle, name, recording)
+    return scanned
 
-    monkeypatch.setattr(oracle, "_chunk_scores", recording)
-    monkeypatch.setattr(oracle, "_first_by_lines", recording_lines)
+
+def test_bounded_search_scans_no_shape_the_bound_rules_out(monkeypatch):
+    scanned = record_lanes(monkeypatch)
     for values in [(0,), (0, 1), (0, 1, 2)]:
         assert bounded_search(ScoreSet(values), 4, 4) is None
     assert scanned == []
@@ -199,6 +201,40 @@ def test_bounded_search_scans_no_shape_the_bound_rules_out(monkeypatch):
     found = bounded_search(ScoreSet((0, 3, 5)), 2, 4)
     assert EnumerationSpace(2, 4).encode(found) == 1200
     assert scanned == [(1, 4), (2, 3), (2, 4)]
+
+
+def test_bounded_search_allocates_nothing_for_a_huge_value():
+    # 10**8 exceeds every score at 2x2: no shape is admitted, and no set
+    # mask of 10**8 bits is built
+    target = ScoreSet((1, 10**8))
+    tracemalloc.start()
+    try:
+        assert bounded_search(target, 2, 2) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m_max,n_max", [(1, 12), (12, 1)])
+def test_full_scan_lane_at_long_shapes(m_max, n_max, monkeypatch):
+    # lines of 12 pairs exceed the line tables, so 1x12 and 12x1 are
+    # scanned in full; the first witness is the catalog's at the first
+    # shape that has the set
+    catalogs = [catalog_for_shape(m, n, pairs=False).sets for m, n in oracle._shapes(m_max, n_max, 3**12)]
+    scanned = record_lanes(monkeypatch, ["_first_by_scan"])
+    realized = [(1, 2, 11), (0, 2, 22), (0, 1, 2, 21)]  # first at the long shape
+    unrealized = [(0, 3, 21), (0, 5, 6), (1, 4, 7)]  # admitted there, but two values exceed 2
+    for values in realized + unrealized:
+        scanned.clear()
+        found = bounded_search(ScoreSet(values), m_max, n_max)
+        assert scanned[-1] == (m_max, n_max)
+        expected = next((sets[values] for sets in catalogs if values in sets), None)
+        assert (expected is None) == (values in unrealized)
+        if found is None:
+            assert expected is None
+        else:
+            assert Witness(found.m, found.n, EnumerationSpace(found.m, found.n).encode(found)) == expected
 
 
 def test_line_lanes_find_the_scan_witness(monkeypatch):
