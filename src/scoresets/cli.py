@@ -8,6 +8,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import combinations
@@ -56,6 +57,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+@functools.cache  # one parser per process: building it cost more than a cheap command
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scoresets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

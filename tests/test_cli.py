@@ -329,3 +329,71 @@ def test_realize_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "realize", "--set", "1,3,9", "--format", "json")
     _, second, _ = run(capsys, "realize", "--set", "1,3,9", "--format", "json")
     assert first == second
+
+
+def test_repeated_calls_are_independent(tmp_path, capsys):
+    # one parser serves every call of a process: no default, --out or
+    # command handler may carry over from one call to the next
+    target = tmp_path / "graph.json"
+    calls = [
+        ("search", "--set", "0,2,6", "--max-m", "2", "--max-n", "3", "--format", "json"),
+        ("search", "--set", "0,2,6", "--max-m", "2", "--max-n", "3"),
+        ("realize", "--set", "1,2,5", "--format", "json", "--out", str(target)),
+        ("realize", "--set", "1,2,5"),
+        ("realize", "--no-such-flag", "1"),
+        ("no-such-command",),
+        ("enumerate", "--m", "2", "--n", "2", "--emit", "sets", "--budget", "5"),
+        ("check-pair", "--a", "0", "--b", "0"),
+        ("conjecture-scan", "--max-value", "3", "--max-m", "2", "--max-n", "2"),
+    ]
+
+    def outcome(argv):
+        result = run(capsys, *argv)
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        return (*result, written)
+
+    forward = {argv: outcome(argv) for argv in calls}
+    backward = {argv: outcome(argv) for argv in reversed(calls)}
+    assert forward == backward
+    assert [forward[argv][0] for argv in calls] == [0, 0, 0, 0, 1, 1, 3, 0, 0]
+    assert forward[calls[2]][1] == "" and forward[calls[2]][3].startswith('{"m":3,"n":4')
+    assert forward[calls[3]][1].startswith("score set {1,2,5}\n")
+
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "conjecture-scan" in texts[0]
+
+
+def test_import_builds_no_parser():
+    # importing the CLI costs no parser; the first main() builds it and
+    # later calls reuse it
+    script = """
+import argparse
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import scoresets.cli
+counts = [built]
+for _ in range(2):
+    scoresets.cli.main(["check-pair", "--a", "1", "--b", "1,1"])
+    counts.append(built)
+print(*counts)
+"""
+    src = str(Path(scoresets.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, first, second = map(int, proc.stdout.split()[-3:])
+    assert before == 0 and first > 0 and second == first
