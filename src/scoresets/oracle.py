@@ -20,24 +20,28 @@ between min S and max S, and no score exceeds 2n in U or 2m in V.
 
 A graph with score set S has every U score and every V score in S.
 The score of U vertex u depends on row u alone (the digits u * n ..
-u * n + n - 1), that of V vertex v on column v alone.  So at larger
-shapes ``bounded_search`` combines only the rows whose U score lies in
-S or, where that makes at least four times as many assignments, only
-the columns whose V score does, and scores just those; the least index
-among the hits is the first witness a full scan would find.
+u * n + n - 1), that of V vertex v on column v alone.  So
+``bounded_search`` never scans a shape: it combines only the rows whose
+U score lies in S or, where that makes at least four times as many
+assignments, only the columns whose V score does, and scores just
+those; the least index among the hits is the first witness a full scan
+would find.  The states of a line of k pairs come from a table of 3**k
+entries, built once per process; lines are capped at ``_LINE_MAX``
+pairs, and a shape whose rows are longer is built from its columns.
 
-Bulk scans work on contiguous index chunks with vectorized scoring;
-per-chunk results merge associatively, so the outcome is independent of
-the chunk size.  Every entry point enforces a budget cap on 3**(m*n)
-before touching a shape.
+Only catalogs scan every assignment.  They work on contiguous index
+chunks with vectorized scoring; per-chunk results merge associatively,
+so the outcome is independent of the chunk size.  Every entry point
+enforces a budget cap on 3**(m*n) before touching a shape.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -50,6 +54,9 @@ _CHUNK = 1 << 18
 # stay at 256 KiB whatever the target, so no search frees a block large
 # enough to raise glibc's malloc thresholds for the rest of the process
 _BLOCK = 1 << 15
+# pairs per line of the row and column lane: a table of 3**11 states
+# takes about 3.4 MB; m * n < 40 leaves at most one part's lines longer
+_LINE_MAX = 11
 
 
 class BudgetExceededError(RuntimeError):
@@ -128,15 +135,6 @@ def _chunk_scores(m: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     return u_scores, v_scores
 
 
-def _scan(m: int, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Scores of every assignment of shape (m, n) in ascending index
-    order, one chunk of ``_CHUNK`` indices at a time: yields the chunk's
-    first index with its U- and V-scores."""
-    total = EnumerationSpace(m, n).total
-    for lo in range(0, total, _CHUNK):
-        yield (lo, *_chunk_scores(m, n, lo, min(lo + _CHUNK, total)))
-
-
 def _set_masks(u_scores: np.ndarray, v_scores: np.ndarray) -> np.ndarray:
     """Bitmask per assignment: bit s set iff some vertex scores s."""
     mask = np.zeros(u_scores.shape[0], dtype=np.int64)
@@ -151,13 +149,18 @@ def _set_masks(u_scores: np.ndarray, v_scores: np.ndarray) -> np.ndarray:
 _BIT = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
 
 
+@functools.cache
 def _line_table(length: int) -> tuple[np.ndarray, np.ndarray]:
     """Own score and net shares of every state 0 .. 3**length - 1 of a
     row of ``length`` pairs, digit v the state of pair v: the row's U
     score, and per pair +1 (u->v), -1 (v->u) or 0 (absent): the scores
-    of shape (1, length), each V score being 1 minus its pair's net."""
+    of shape (1, length), each V score being 1 minus its pair's net.
+    Both arrays are shared by every later call, so they are read-only."""
     u_scores, v_scores = _chunk_scores(1, length, 0, 3**length)
-    return u_scores[:, 0].astype(np.int64), (1 - v_scores).astype(np.int8)
+    tables = u_scores[:, 0].astype(np.int64), (1 - v_scores).astype(np.int8)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _line_choices(
@@ -229,35 +232,21 @@ def _first_by_lines(m: int, n: int, target: int) -> int | None:
     it and stop at the first hit.  Column v is row v of the transposed
     shape (n, m), in which each arc is reversed; its state c adds
     ``column[c] * 3**v``, so columns search every assignment they make,
-    and are taken only where they make at most a quarter as many.
+    and are taken only where they make at most a quarter as many, or
+    where rows would exceed ``_LINE_MAX`` pairs.
     """
-    row_scores, row_nets = _line_table(n)
-    col_scores, col_nets = _line_table(m)
-    rows = np.flatnonzero(target >> row_scores & 1)
-    cols = np.flatnonzero(target >> col_scores & 1)
-    if rows.size**m <= 4 * cols.size**n:
+    if n <= _LINE_MAX:
+        row_scores, row_nets = _line_table(n)
+        rows = np.flatnonzero(target >> row_scores & 1)
+    if m <= _LINE_MAX:
+        col_scores, col_nets = _line_table(m)
+        cols = np.flatnonzero(target >> col_scores & 1)
+    if m > _LINE_MAX or n <= _LINE_MAX and rows.size**m <= 4 * cols.size**n:
         return _combine_lines(m, target, rows, row_scores[rows], row_nets[rows], 3**n, ordered=True)
     nets = col_nets[cols]
     # pair (u, v) has the net -nets[:, u] and so the state -nets[:, u] % 3
     column = (-nets % 3).astype(np.int64) @ 3 ** (n * np.arange(m, dtype=np.int64))
     return _combine_lines(n, target, column, col_scores[cols], nets, 3, ordered=False)
-
-
-def _first_by_scan(m: int, n: int, target: int) -> int | None:
-    """Least index of shape (m, n) whose set mask is ``target``, or None,
-    by a chunked scan of every assignment."""
-    for lo, u_scores, v_scores in _scan(m, n):
-        hits = np.flatnonzero(_set_masks(u_scores, v_scores) == target)
-        if hits.size:
-            return lo + int(hits[0])
-    return None
-
-
-def _by_lines(m: int, n: int) -> bool:
-    """Whether ``bounded_search`` combines rows or columns at shape
-    (m, n): their tables hold at most 3**11 states, and below 3**7
-    assignments one direct scan costs no more."""
-    return max(m, n) <= 11 and m * n > 6
 
 
 def _mask_of(values: Iterable[int]) -> int:
@@ -354,7 +343,9 @@ def catalog_for_shape(
         raise ValueError("a catalog needs sets=True or pairs=True")
     _require_budget(m, n, budget)
     catalog = RealizabilityCatalog()
-    for lo, u_scores, v_scores in _scan(m, n):
+    total = 3 ** (m * n)
+    for lo in range(0, total, _CHUNK):
+        u_scores, v_scores = _chunk_scores(m, n, lo, min(lo + _CHUNK, total))
         if sets:
             masks = _set_masks(u_scores, v_scores)
             uniq, first = np.unique(masks, return_index=True)
@@ -431,17 +422,16 @@ def bounded_search(
     with fewer vertices than the target has values, those where the
     target's maximum exceeds every attainable score, and those whose
     score total 2mn no graph with the target's values can reach (the
-    bound in the module docstring).  Of the other shapes, those
-    ``_by_lines`` accepts are built from the rows or the columns whose
-    scores are in the target; the rest are scanned in full.
+    bound in the module docstring).  No shape is scanned: each of the
+    others is built from the rows or the columns whose scores are in the
+    target, from line tables of at most ``_LINE_MAX`` pairs.
     """
     values = tuple(score_set)
     for m, n in _shapes(m_max, n_max, budget):
         if not _shape_admits(values, m, n):
             continue
         # an admitted shape bounds every value by 2 * max(m, n) <= 62
-        first = _first_by_lines if _by_lines(m, n) else _first_by_scan
-        index = first(m, n, _mask_of(values))
+        index = _first_by_lines(m, n, _mask_of(values))
         if index is not None:
             witness = EnumerationSpace(m, n).decode(index)
             if witness.score_set() != score_set:

@@ -96,6 +96,7 @@ def test_shard_merge_determinism(monkeypatch):
     # {0,2,6} is first attained at 2x3, index 368; {0} nowhere within 2x3
     found = bounded_search(ScoreSet((0, 2, 6)), 2, 3)
     assert (found.m, found.n, EnumerationSpace(2, 3).encode(found)) == (2, 3, 368)
+    assert bounded_search(ScoreSet((0,)), 2, 3) is None
     sizes = []
     chunk_scores = oracle._chunk_scores
 
@@ -110,16 +111,16 @@ def test_shard_merge_determinism(monkeypatch):
         other = catalog_for_shape(2, 2)
         assert other.sets == reference.sets
         assert other.pairs == reference.pairs
-        assert bounded_search(ScoreSet((0, 2, 6)), 2, 3) == found
-        assert bounded_search(ScoreSet((0,)), 2, 3) is None
-        assert max(sizes) == min(chunk, EnumerationSpace(2, 3).total)
+        assert max(sizes) == min(chunk, EnumerationSpace(2, 2).total)
 
 
 @pytest.mark.parametrize("m,n", [(3, 3), (2, 5), (5, 2), (1, 12)])
 def test_pairs_lane_matches_unique_reference_across_chunks(m, n, monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK", 1000)  # splits every scan
     reference = {}
-    for lo, u_scores, v_scores in oracle._scan(m, n):
+    total = EnumerationSpace(m, n).total
+    for lo in range(0, total, 1000):
+        u_scores, v_scores = oracle._chunk_scores(m, n, lo, min(lo + 1000, total))
         rows = np.concatenate([np.sort(u_scores, axis=1), np.sort(v_scores, axis=1)], axis=1)
         uniq_rows, first = np.unique(rows, axis=0, return_index=True)
         for row, first_idx in zip(uniq_rows.tolist(), first.tolist()):
@@ -172,31 +173,31 @@ def test_total_score_bound_holds_on_every_catalog_set():
             assert not oracle._shape_admits(values, m, n)
 
 
-def record_lanes(monkeypatch, names=("_first_by_scan", "_first_by_lines")):
-    """Replace each named search lane with one that appends its shape to
-    the returned list before running."""
+def record_shapes(monkeypatch):
+    """Replace the search lane with one that appends its shape to the
+    returned list before running."""
     scanned = []
-    for name in names:
+    lane = oracle._first_by_lines
 
-        def recording(m, n, target, lane=getattr(oracle, name)):
-            scanned.append((m, n))
-            return lane(m, n, target)
+    def recording(m, n, target):
+        scanned.append((m, n))
+        return lane(m, n, target)
 
-        monkeypatch.setattr(oracle, name, recording)
+    monkeypatch.setattr(oracle, "_first_by_lines", recording)
     return scanned
 
 
 def test_bounded_search_scans_no_shape_the_bound_rules_out(monkeypatch):
-    scanned = record_lanes(monkeypatch)
+    scanned = record_shapes(monkeypatch)
     for values in [(0,), (0, 1), (0, 1, 2)]:
         assert bounded_search(ScoreSet(values), 4, 4) is None
     assert scanned == []
     # {0,2,6} at 1x3 fits the vertex count and the maximum, but its
-    # values sum to 8 > 2mn = 6: only 2x3 is scanned
+    # values sum to 8 > 2mn = 6: only 2x3 is searched
     assert bounded_search(ScoreSet((0, 2, 6)), 2, 3) is not None
     assert scanned == [(2, 3)]
-    # {0,3,5} passes the bound at 1x4, 2x3 and 2x4 only; the first two
-    # are scanned, 2x4 is built from rows and holds the witness
+    # {0,3,5} passes the bound at 1x4, 2x3 and 2x4 only; all three are
+    # searched, and 2x4 holds the witness
     scanned.clear()
     found = bounded_search(ScoreSet((0, 3, 5)), 2, 4)
     assert EnumerationSpace(2, 4).encode(found) == 1200
@@ -217,12 +218,12 @@ def test_bounded_search_allocates_nothing_for_a_huge_value():
 
 
 @pytest.mark.parametrize("m_max,n_max", [(1, 12), (12, 1)])
-def test_full_scan_lane_at_long_shapes(m_max, n_max, monkeypatch):
-    # lines of 12 pairs exceed the line tables, so 1x12 and 12x1 are
-    # scanned in full; the first witness is the catalog's at the first
-    # shape that has the set
+def test_line_lanes_at_long_shapes(m_max, n_max, monkeypatch):
+    # lines of 12 pairs exceed the line tables, so 1x12 is built from
+    # its columns and 12x1 from its rows; the first witness is the
+    # catalog's at the first shape that has the set
     catalogs = [catalog_for_shape(m, n, pairs=False).sets for m, n in oracle._shapes(m_max, n_max, 3**12)]
-    scanned = record_lanes(monkeypatch, ["_first_by_scan"])
+    scanned = record_shapes(monkeypatch)
     realized = [(1, 2, 11), (0, 2, 22), (0, 1, 2, 21)]  # first at the long shape
     unrealized = [(0, 3, 21), (0, 5, 6), (1, 4, 7)]  # admitted there, but two values exceed 2
     for values in realized + unrealized:
@@ -238,8 +239,9 @@ def test_full_scan_lane_at_long_shapes(m_max, n_max, monkeypatch):
 
 
 def test_line_lanes_find_the_scan_witness(monkeypatch):
-    # every admitted subset of {0..8}: the same first index as a full
-    # scan, or None from both, whether rows or columns are combined
+    # every admitted subset of {0..8}: the same first index as the
+    # catalog's full scan, or None for a set the shape does not have,
+    # whether rows or columns are combined
     combine = oracle._combine_lines
     lanes = set()
 
@@ -248,14 +250,43 @@ def test_line_lanes_find_the_scan_witness(monkeypatch):
         return combine(count, target, weights, scores, nets, scale, ordered)
 
     monkeypatch.setattr(oracle, "_combine_lines", recording)
-    for m, n in [(2, 4), (4, 2), (3, 3), (1, 7), (7, 1)]:
-        assert oracle._by_lines(m, n)
+    for m, n in [(2, 4), (4, 2), (3, 3), (1, 7), (7, 1), (1, 1), (1, 6), (2, 3), (3, 2), (6, 1)]:
+        sets = catalog_for_shape(m, n, pairs=False).sets
         for mask in range(1, 1 << 9):
             values = oracle._values_of(mask)
             if oracle._shape_admits(values, m, n):
-                expected = oracle._first_by_scan(m, n, mask)
+                expected = sets[values].index if values in sets else None
                 assert oracle._first_by_lines(m, n, mask) == expected, (m, n, values)
     assert lanes == {True, False}
+
+
+def test_line_tables_are_cached_and_read_only():
+    scores, nets = oracle._line_table(3)
+    assert oracle._line_table(3)[0] is scores
+    for table in (scores, nets):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
+def test_bounded_search_never_scans(monkeypatch):
+    chunk_scores = oracle._chunk_scores
+
+    def line_tables_only(m, n, lo, hi):
+        # a line table scores every state of one line of at most _LINE_MAX pairs
+        assert m == 1 and n <= oracle._LINE_MAX and (lo, hi) == (0, 3**n), (m, n, lo, hi)
+        return chunk_scores(m, n, lo, hi)
+
+    oracle._line_table.cache_clear()
+    monkeypatch.setattr(oracle, "_chunk_scores", line_tables_only)
+    # 1x16 and 16x1 are the only shapes admitted; a full scan of either
+    # would score 3**16 assignments
+    for m_max, n_max in [(1, 16), (16, 1)]:
+        assert bounded_search(ScoreSet((0, 31)), m_max, n_max) is None
+    # sets first realized at the bounds
+    for values, m, n in [((1, 9), 2, 6), ((1, 4, 6), 3, 4)]:
+        found = bounded_search(ScoreSet(values), m, n)
+        assert (found.m, found.n) == (m, n)
+        assert found.score_set().values == values
 
 
 def test_line_lanes_are_independent_of_the_block_size(monkeypatch):
