@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Census of small score sets against exhaustive enumeration.
 
-Enumerates every graph with part sizes up to the given bounds, then
-reports which candidate sets over {0..max-value} no such graph attains.
+Catalogs the score sets of every graph with part sizes up to the given
+bounds, then reports which candidate sets over {0..max-value} no such
+graph attains.
 Sets containing 0 are the interesting rows: {0}, {0,1}, and {0,1,2}
 stay unrealized no matter how far the bounds are pushed.  That is
 proven, not just observed: the total-score bound in the docstring of
@@ -16,8 +17,9 @@ from scoresets import oracle
 
 
 def realized_sets(max_m: int, max_n: int) -> set[tuple[int, ...]]:
-    """Score sets attained at some shape within the bounds.  Only the
-    set lane is scanned; bounds and budget are checked before any scan."""
+    """Score sets attained at some shape within the bounds.  Only set
+    keys are cataloged, no sequence pairs; bounds and budget are checked
+    before the first catalog."""
     sets = set()
     for m, n in oracle._shapes(max_m, max_n, oracle.DEFAULT_BUDGET):
         sets.update(oracle.catalog_for_shape(m, n, pairs=False).sets)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import scoresets.oracle as oracle
 
@@ -27,6 +28,35 @@ def every_graph(m, n):
     index order, decoded one index at a time."""
     space = EnumerationSpace(m, n)
     return (space.decode(index) for index in range(space.total))
+
+
+def full_scan(m, n):
+    """Reference lane: score every index 0 .. 3**(m*n) - 1 and keep the
+    least index of each score set and sequence pair, keys in ascending
+    order of that index."""
+    index = np.arange(3 ** (m * n), dtype=np.int64)
+    u_scores = np.full((index.size, m), n, dtype=np.int64)
+    v_scores = np.full((index.size, n), m, dtype=np.int64)
+    rem = index
+    for pos in range(m * n):
+        rem, digit = np.divmod(rem, 3)
+        net = (digit == ArcState.U_TO_V).astype(np.int64) - (digit == ArcState.V_TO_U)
+        u_scores[:, pos // n] += net
+        v_scores[:, pos % n] -= net
+    scores = np.concatenate([u_scores, v_scores], axis=1)
+    masks = np.bitwise_or.reduce(np.left_shift(1, scores), axis=1)
+    rows = np.concatenate([np.sort(u_scores, axis=1), np.sort(v_scores, axis=1)], axis=1)
+    codes = np.zeros(index.size, dtype=np.int64)
+    for col in rows.T:
+        codes = codes * (2 * max(m, n) + 1) + col
+    catalog = RealizabilityCatalog()
+    _, first = np.unique(masks, return_index=True)
+    for i in np.sort(first).tolist():
+        catalog.sets[tuple(sorted(set(scores[i].tolist())))] = Witness(m, n, i)
+    _, first = np.unique(codes, return_index=True)
+    for i in np.sort(first).tolist():
+        catalog.pairs[(tuple(rows[i, :m].tolist()), tuple(rows[i, m:].tolist()))] = Witness(m, n, i)
+    return catalog
 
 
 def test_decode_encode_round_trip_exhaustive():
@@ -91,43 +121,75 @@ def test_catalog_witnesses_reproduce_keys():
 
 
 def test_shard_merge_determinism(monkeypatch):
-    monkeypatch.setattr(oracle, "_CHUNK", 81)
-    reference = catalog_for_shape(2, 2)
     # {0,2,6} is first attained at 2x3, index 368; {0} nowhere within 2x3
     found = bounded_search(ScoreSet((0, 2, 6)), 2, 3)
     assert (found.m, found.n, EnumerationSpace(2, 3).encode(found)) == (2, 3, 368)
     assert bounded_search(ScoreSet((0,)), 2, 3) is None
+    references = {(m, n): catalog_for_shape(m, n) for m, n in [(3, 3), (2, 5)]}
     sizes = []
-    chunk_scores = oracle._chunk_scores
+    multisets = oracle._multisets
 
-    def recording(m, n, lo, hi):
-        sizes.append(hi - lo)
-        return chunk_scores(m, n, lo, hi)
+    def recording(count, size):
+        for block in multisets(count, size):
+            sizes.append(len(block))
+            yield block
 
-    monkeypatch.setattr(oracle, "_chunk_scores", recording)
-    for chunk in (1, 5, 7, 80, 1000):
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        sizes.clear()
-        other = catalog_for_shape(2, 2)
-        assert other.sets == reference.sets
-        assert other.pairs == reference.pairs
-        assert max(sizes) == min(chunk, EnumerationSpace(2, 2).total)
+    monkeypatch.setattr(oracle, "_multisets", recording)
+    for cap in (1, 7, 1000):
+        monkeypatch.setattr(oracle, "_CHUNK", cap)
+        for (m, n), reference in references.items():
+            sizes.clear()
+            other = catalog_for_shape(m, n)
+            assert list(other.sets.items()) == list(reference.sets.items())
+            assert list(other.pairs.items()) == list(reference.pairs.items())
+            assert max(sizes) <= cap < sum(sizes), (cap, m, n)
 
 
 @pytest.mark.parametrize("m,n", [(3, 3), (2, 5), (5, 2), (1, 12)])
 def test_pairs_lane_matches_unique_reference_across_chunks(m, n, monkeypatch):
-    monkeypatch.setattr(oracle, "_CHUNK", 1000)  # splits every scan
-    reference = {}
-    total = EnumerationSpace(m, n).total
-    for lo in range(0, total, 1000):
-        u_scores, v_scores = oracle._chunk_scores(m, n, lo, min(lo + 1000, total))
-        rows = np.concatenate([np.sort(u_scores, axis=1), np.sort(v_scores, axis=1)], axis=1)
-        uniq_rows, first = np.unique(rows, axis=0, return_index=True)
-        for row, first_idx in zip(uniq_rows.tolist(), first.tolist()):
-            reference.setdefault((tuple(row[:m]), tuple(row[m:])), Witness(m, n, lo + first_idx))
+    monkeypatch.setattr(oracle, "_CHUNK", 1000)  # splits every shape but 1x12 into blocks
+    reference = full_scan(m, n).pairs
     pairs = catalog_for_shape(m, n, sets=False).pairs
     # keys, witness indices and insertion order
     assert list(pairs.items()) == list(reference.items())
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 10) for n in range(1, 10) if m * n <= 9]
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES + [(3, 4), (4, 3), (2, 5), (5, 2), (1, 12), (12, 1)])
+def test_catalog_matches_full_scan_reference(m, n):
+    reference = full_scan(m, n)
+    catalog = catalog_for_shape(m, n)
+    assert catalog.to_jsonl() == reference.to_jsonl()
+    assert list(catalog.sets.items()) == list(reference.sets.items())
+    assert list(catalog.pairs.items()) == list(reference.pairs.items())
+
+
+def sorted_lines(index, m, n, by_rows):
+    """The index of assignment ``index`` of shape (m, n) with its rows,
+    or its columns, reordered by their codes, largest first."""
+    digits = [index // 3**pos % 3 for pos in range(m * n)]
+    if by_rows:
+        # row u in state r adds r * 3**(n*u)
+        lines = sorted((digits[u * n : u * n + n] for u in range(m)), key=lambda row: row[::-1], reverse=True)
+        return sum(d * 3 ** (u * n + v) for u, row in enumerate(lines) for v, d in enumerate(row))
+    # column v with code c adds c * 3**v
+    lines = sorted((digits[v::n] for v in range(n)), key=lambda col: col[::-1], reverse=True)
+    return sum(d * 3 ** (u * n + v) for v, col in enumerate(lines) for u, d in enumerate(col))
+
+
+@given(st.sampled_from([(3, 4), (4, 3)]), st.integers(0, 3**12 - 1))
+def test_sorted_lines_keep_the_keys_and_lower_the_index(shape, index):
+    m, n = shape
+    space = EnumerationSpace(m, n)
+    before = space.decode(index)
+    for by_rows in (True, False):
+        least = sorted_lines(index, m, n, by_rows)
+        after = space.decode(least)
+        assert after.score_set() == before.score_set()
+        assert after.score_sequences() == before.score_sequences()
+        assert least <= index
 
 
 def test_visitor_and_vectorized_lanes_agree():
@@ -138,9 +200,9 @@ def test_visitor_and_vectorized_lanes_agree():
         sets.setdefault(g.score_set().values, Witness(m, n, index))
         pair = g.score_sequences()
         pairs.setdefault((pair.a, pair.b), Witness(m, n, index))
-    catalog = catalog_for_shape(m, n)
-    assert catalog.sets == sets
-    assert catalog.pairs == pairs
+    for catalog in (catalog_for_shape(m, n), full_scan(m, n)):
+        assert list(catalog.sets.items()) == list(sets.items())
+        assert list(catalog.pairs.items()) == list(pairs.items())
 
 
 def test_bounded_search_examples():
@@ -266,18 +328,25 @@ def test_line_tables_are_cached_and_read_only():
     for table in (scores, nets):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
+    # catalogs and searches share one table per line length
+    oracle._line_table.cache_clear()
+    values, witness = list(catalog_for_shape(3, 3).sets.items())[-1]
+    assert oracle._first_by_lines(3, 3, oracle._mask_of(values)) == witness.index
+    assert oracle._line_table.cache_info().misses == 1
 
 
 def test_bounded_search_never_scans(monkeypatch):
-    chunk_scores = oracle._chunk_scores
+    line_table = oracle._line_table
 
-    def line_tables_only(m, n, lo, hi):
-        # a line table scores every state of one line of at most _LINE_MAX pairs
-        assert m == 1 and n <= oracle._LINE_MAX and (lo, hi) == (0, 3**n), (m, n, lo, hi)
-        return chunk_scores(m, n, lo, hi)
+    def no_scan(*args):
+        raise AssertionError("catalog candidates generated")
 
-    oracle._line_table.cache_clear()
-    monkeypatch.setattr(oracle, "_chunk_scores", line_tables_only)
+    def short_lines_only(length):
+        assert length <= oracle._LINE_MAX, length
+        return line_table(length)
+
+    monkeypatch.setattr(oracle, "_multisets", no_scan)
+    monkeypatch.setattr(oracle, "_line_table", short_lines_only)
     # 1x16 and 16x1 are the only shapes admitted; a full scan of either
     # would score 3**16 assignments
     for m_max, n_max in [(1, 16), (16, 1)]:
@@ -411,7 +480,8 @@ def test_shapes_beyond_int64_rejected_before_any_allocation(m, n, monkeypatch):
     def no_scan(*args):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr(oracle, "_chunk_scores", no_scan)
+    for name in ("_multisets", "_line_table"):
+        monkeypatch.setattr(oracle, name, no_scan)
     monkeypatch.setattr(oracle.EnumerationSpace, "decode", no_scan)
     budget = 3 ** (m * n)  # the budget admits the shape; the int64 range does not
     calls = [
@@ -461,7 +531,8 @@ def test_catalog_for_shape_without_kinds_scans_nothing(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr(oracle, "_chunk_scores", no_scan)
+    for name in ("_multisets", "_line_table"):
+        monkeypatch.setattr(oracle, name, no_scan)
     for m, n in [(4, 4), (5, 4)]:  # 5x4 is over the budget: the flags are checked first
         with pytest.raises(ValueError, match="sets=True or pairs=True"):
             catalog_for_shape(m, n, sets=False, pairs=False)
