@@ -5,11 +5,16 @@ carries exactly one of three states: an arc u->v, an arc v->u, or no arc,
 so symmetric arc pairs and loops cannot occur.  The score of u in U is
 n + outdegree - indegree; the score of v in V is m + outdegree - indegree.
 U-scores lie in [0, 2n] and V-scores in [0, 2m].
+
+``to_json`` and ``to_dot`` format each distinct row of arc states once per
+call, as a template with NUL for the row index, and fill it in for every
+row with those states (block-built graphs have few); none outlives the call.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Sequence
@@ -64,9 +69,9 @@ class ScoreSequencePair:
 
 
 def _validate_sequence(seq: Sequence[int], name: str) -> None:
-    if any(x < 0 for x in seq):
+    if seq and min(seq) < 0:
         raise ValueError(f"sequence {name!r} has a negative entry: {seq}")
-    if any(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
+    if not all(map(operator.le, seq, seq[1:])):
         raise ValueError(f"sequence {name!r} is not nondecreasing: {seq}")
 
 
@@ -102,8 +107,10 @@ class ScoreSet:
 
 # indexed by ArcState: the pair's net share of its U-vertex's score
 _NET = np.array([0, 1, -1], dtype=np.int8)
-_DIRS = (None, "uv", "vu")
 _DIR_STATES = {"uv": 1, "vu": 2}
+# indexed by ArcState: an arc's JSON and DOT text from its v index, NUL for u
+_JSON_ARCS = (None, '{"u":\0,"v":%d,"dir":"uv"}', '{"u":\0,"v":%d,"dir":"vu"}')
+_DOT_ARCS = (None, "  u\0 -> v%d;", "  v%d -> u\0;")
 # one byte per pair: the largest arc buffer a graph may allocate is 256 MiB
 _MAX_PAIRS = 2**28
 
@@ -177,12 +184,20 @@ class BipartiteOrientedGraph:
         u_scores, v_scores = self.scores()
         return ScoreSet.from_values(u_scores + v_scores)
 
-    def _present(self) -> tuple[list[int], list[int], list[int]]:
-        """u, v and state lists of the non-absent pairs, row-major."""
-        buf = np.frombuffer(self._arcs, dtype=np.uint8)
-        pos = np.flatnonzero(buf)
-        u, v = np.divmod(pos, self.n)
-        return u.tolist(), v.tolist(), buf[pos].tolist()
+    def _arc_rows(self, formats: tuple, sep: str) -> list[str]:
+        """The ``sep``-joined arc texts of each row that has arcs: each distinct
+        row is formatted once per call from ``formats``, then its u filled in."""
+        n, data = self.n, bytes(self._arcs)
+        templates: dict[bytes, str] = {}
+        texts = []
+        for u in range(self.m):
+            row = data[u * n : (u + 1) * n]
+            template = templates.get(row)
+            if template is None:
+                template = templates[row] = sep.join([formats[s] % v for v, s in enumerate(row) if s])
+            if template:
+                texts.append(template.replace("\0", str(u)))
+        return texts
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteOrientedGraph):
@@ -196,15 +211,13 @@ class BipartiteOrientedGraph:
     def to_json(self, *, blocks: tuple[Sequence[Block], Sequence[Block]] | None = None) -> str:
         """Serialize to the canonical JSON document (absent pairs omitted),
         with the U and V block lists when ``blocks`` is given."""
-        arcs = ",".join(
-            [f'{{"u":{u},"v":{v},"dir":"{_DIRS[s]}"}}' for u, v, s in zip(*self._present())]
-        )
-        text = f'{{"m":{self.m},"n":{self.n},"arcs":[{arcs}]'
+        tail = "]}"
         if blocks is not None:
             u_blocks, v_blocks = blocks
             doc = {"U": [_block_doc(b) for b in u_blocks], "V": [_block_doc(b) for b in v_blocks]}
-            text += ',"blocks":' + json.dumps(doc, separators=(",", ":"))
-        return text + "}"
+            tail = '],"blocks":' + json.dumps(doc, separators=(",", ":")) + "}"
+        arcs = ",".join(self._arc_rows(_JSON_ARCS, ","))  # row texts freed before the join
+        return "".join([f'{{"m":{self.m},"n":{self.n},"arcs":[', arcs, tail])
 
     @classmethod
     def from_json(cls, text: str) -> "BipartiteOrientedGraph":
@@ -251,12 +264,9 @@ class BipartiteOrientedGraph:
             lines += [f"  subgraph cluster_{part} {{", f'    label="{part}";']
             lines += [_node_line(part.lower(), i, label.get(i)) for i in range(size)]
             lines.append("  }")
-        lines.extend(
-            f"  u{u} -> v{v};" if s == 1 else f"  v{v} -> u{u};"
-            for u, v, s in zip(*self._present())
-        )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines += self._arc_rows(_DOT_ARCS, "\n")
+        lines += ["}", ""]
+        return "\n".join(lines)
 
 
 def _block_doc(block: Block) -> dict:

@@ -523,6 +523,17 @@ def test_realize_output_matches_golden_digest(branch):
     assert hashlib.sha256(r.to_dot().encode()).hexdigest() == dot_digest
 
 
+def test_realize_output_matches_golden_digest_at_1640x1640():
+    # {1,3,...,3^7}: many equal rows and four-digit indices; the JSON digest
+    # covers the trailing newline the CLI writes
+    r = realize(ScoreSet(tuple(3**i for i in range(8))))
+    assert (r.m, r.n) == (1640, 1640)
+    json_digest = hashlib.sha256((r.to_json() + "\n").encode()).hexdigest()
+    assert json_digest == "baeed4616352b26bbe3d6d7d5b8c7bdcb4139f9691715937c5b9a7d92189c8de"
+    dot_digest = hashlib.sha256(r.to_dot().encode()).hexdigest()
+    assert dot_digest == "70b299634aa0ae87aceffc48453f114b6f10beefcf961af1f87666e25cc744ff"
+
+
 @pytest.mark.parametrize(
     "values",
     [values for values, _, _ in GOLDEN.values()]

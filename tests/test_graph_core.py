@@ -223,9 +223,29 @@ def block_lists(draw, size, prefix):
     ]
 
 
+def graph_of(rows):
+    g = BipartiteOrientedGraph(len(rows), len(rows[0]))
+    for u, row in enumerate(rows):
+        for v, state in enumerate(row):
+            g.set_arc(u, v, ArcState(state))
+    return g
+
+
+@st.composite
+def repeated_row_graphs(draw, max_m=14, max_n=14):
+    """Graphs of up to 14x14 whose rows come from a pool of at most three,
+    the all-absent row among the candidates."""
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    pool = draw(st.lists(st.one_of(st.just([0] * n), row), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+    return graph_of([pool[i] for i in picks])
+
+
 @given(st.data())
 def test_serialization_matches_reference(data):
-    g = data.draw(graphs(max_m=6, max_n=6))
+    g = data.draw(st.one_of(graphs(max_m=6, max_n=6), repeated_row_graphs()))
     u_blocks = data.draw(block_lists(g.m, "X"))
     v_blocks = data.draw(block_lists(g.n, "Y"))
     blocks = None if u_blocks is None and v_blocks is None else (u_blocks or [], v_blocks or [])
@@ -233,6 +253,31 @@ def test_serialization_matches_reference(data):
     assert text == reference_json(g, u_blocks, v_blocks)
     assert g.to_dot(blocks=blocks) == reference_dot(g, u_blocks, v_blocks)
     assert BipartiteOrientedGraph.from_json(text) == g
+
+
+_STRIPE = [(0, 1, 2, 2, 1, 0, 1)[v % 7] for v in range(14)]
+SHAPED_GRAPHS = {
+    # two-digit u and v on both sides
+    "12x13": [[(u * 5 + v * 7 + u * v) % 3 for v in range(13)] for u in range(12)],
+    "all rows equal": [_STRIPE] * 12,
+    "empty rows between": [_STRIPE if u % 3 else [0] * 14 for u in range(11)],
+    "all absent": [[0] * 12 for _ in range(11)],
+    "1x25": [[(v * v) % 3 for v in range(25)]],
+    "25x1": [[(u * u + 1) % 3] for u in range(25)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPED_GRAPHS))
+def test_serialization_matches_reference_at_shaped_graphs(name):
+    g = graph_of(SHAPED_GRAPHS[name])
+    u_blocks = [Block("X0", 0, 1, 2), Block("X1", 1, g.m, 3)]
+    v_blocks = [Block("Y0", 0, g.n, 4)]
+    for blocks in (None, (u_blocks, v_blocks)):
+        expected = (None, None) if blocks is None else blocks
+        text = g.to_json(blocks=blocks)
+        assert text == reference_json(g, *expected)
+        assert g.to_dot(blocks=blocks) == reference_dot(g, *expected)
+        assert BipartiteOrientedGraph.from_json(text) == g
 
 
 def test_json_blocks_follow_schema():
@@ -298,6 +343,16 @@ def test_score_sequence_pair_validation():
         ScoreSequencePair((), (1,))
     pair = ScoreSequencePair([0, 1], [2])
     assert pair.a == (0, 1) and pair.b == (2,)
+
+
+@pytest.mark.parametrize("seq", [(3, -1), (-1, -2), (0, 5, -3, 4)])
+def test_negative_entry_is_reported_before_order(seq):
+    # each of these sequences is also out of order; the sign check comes first
+    message = f"^sequence 'b' has a negative entry: {re.escape(str(seq))}$"
+    with pytest.raises(ValueError, match=message):
+        ScoreSequencePair((0,), seq)
+    with pytest.raises(ValueError, match="^sequence 'a' is not nondecreasing: \\(3, 1\\)$"):
+        ScoreSequencePair((3, 1), seq)
 
 
 @given(graphs())
