@@ -18,6 +18,12 @@ nondecreasing, so its minimum sits where b[q] crosses 2p, and that
 crossing point only moves right as p grows.  The first p whose minimum
 fails is the first failing row, and its first failing q is found by
 scanning that row, so the witness is the lexicographically first (p, q).
+
+``bipartite_pairs_pass`` evaluates the same bipartite statement for
+every pair of a block of a rows and a block of b rows at once, without a
+witness.  For each b row and each p it takes the minimum over q of
+sum(b[:q]) - 2pq once; a pair fails at p iff sum(a[:p]) plus that
+minimum is negative.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
+
+import numpy as np
 
 from .graph_core import ScoreSequencePair, _validate_sequence
 
@@ -79,3 +87,20 @@ def check_bipartite_pair(pair: ScoreSequencePair) -> Violation | None:
     if total != 2 * m * n:
         return Violation((m, n), total, 2 * m * n, equality=True)
     return None
+
+
+def bipartite_pairs_pass(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+    """Verdict of the bipartite check for every pair of rows at once:
+    entry (i, j) is True iff ``(a_rows[i], b_rows[j])`` passes, as
+    ``check_bipartite_pair`` returns None for it.  Rows are taken as
+    given, one sequence per row, and each temporary holds one entry per
+    pair."""
+    pre_a = np.cumsum(a_rows, axis=1, dtype=np.int64)
+    pre_b = np.cumsum(b_rows, axis=1, dtype=np.int64)
+    m, n = pre_a.shape[1], pre_b.shape[1]
+    twice_q = 2 * np.arange(1, n + 1, dtype=np.int64)
+    passes = pre_a[:, -1, None] + pre_b[:, -1] == 2 * m * n
+    for p in range(1, m + 1):
+        low = (pre_b - p * twice_q).min(axis=1)
+        passes &= pre_a[:, p - 1, None] + low >= 0
+    return passes

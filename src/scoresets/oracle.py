@@ -56,8 +56,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .criteria import check_bipartite_pair
-from .graph_core import _NET, BipartiteOrientedGraph, ScoreSequencePair, ScoreSet
+from .criteria import bipartite_pairs_pass
+from .graph_core import _NET, BipartiteOrientedGraph, ScoreSet
 
 DEFAULT_BUDGET = 3**16
 # candidates per block of a catalog: each array of a block holds at most
@@ -513,11 +513,14 @@ def bounded_search(
 
 @dataclass
 class EquivalenceReport:
-    """Outcome of testing the sequence-pair criterion at one shape."""
+    """Outcome of testing the sequence-pair criterion at one shape: the
+    counterexamples, the candidate pairs checked and how many passed."""
 
     m: int
     n: int
     counterexamples: list[tuple[str, tuple[int, ...], tuple[int, ...]]]
+    candidates: int = 0
+    passing: int = 0
 
     @property
     def necessity_ok(self) -> bool:
@@ -539,17 +542,26 @@ def criterion_equivalence(
     Necessity: every enumerated graph's sequence pair passes the check.
     Sufficiency: every nondecreasing candidate pair with entries in
     [0, 2n] x [0, 2m] that passes the check is attained by some graph.
+
+    The check is batched: ``bipartite_pairs_pass`` decides blocks of a
+    candidates against every b candidate, each block at most ``_CHUNK``
+    pairs (no shape in the oracle's range has more b candidates than
+    that), so no temporary grows with the budget.
     """
     realized = set(catalog_for_shape(m, n, budget=budget, sets=False).pairs)
-    passing = {
-        (a, b)
-        for a in combinations_with_replacement(range(2 * n + 1), m)
-        for b in combinations_with_replacement(range(2 * m + 1), n)
-        if check_bipartite_pair(ScoreSequencePair(a, b)) is None
-    }
+    a_keys = list(combinations_with_replacement(range(2 * n + 1), m))
+    b_keys = list(combinations_with_replacement(range(2 * m + 1), n))
+    a_rows, b_rows = np.array(a_keys, dtype=np.int64), np.array(b_keys, dtype=np.int64)
+    step = _CHUNK // len(b_keys)
+    passing = set()
+    for lo in range(0, len(a_keys), step):
+        rows, cols = np.nonzero(bipartite_pairs_pass(a_rows[lo : lo + step], b_rows))
+        passing.update((a_keys[lo + i], b_keys[j]) for i, j in zip(rows.tolist(), cols.tolist()))
     return EquivalenceReport(
         m,
         n,
         [("necessity", a, b) for a, b in sorted(realized - passing)]
         + [("sufficiency", a, b) for a, b in sorted(passing - realized)],
+        candidates=len(a_keys) * len(b_keys),
+        passing=len(passing),
     )

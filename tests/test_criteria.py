@@ -1,10 +1,17 @@
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import graphs, nondecreasing_sequences
-from scoresets.criteria import Violation, check_bipartite_pair, check_oriented_scores
+from scoresets.criteria import (
+    Violation,
+    bipartite_pairs_pass,
+    check_bipartite_pair,
+    check_oriented_scores,
+)
 from scoresets.graph_core import ScoreSequencePair
 
 
@@ -83,6 +90,42 @@ def test_pair_matches_naive(a, b):
     fast = check_bipartite_pair(ScoreSequencePair(a, b))
     slow = naive_check_pair(a, b)
     assert fast == slow
+
+
+def assert_batch_matches_pairs(a_rows, b_rows):
+    batch = bipartite_pairs_pass(np.array(a_rows), np.array(b_rows)).tolist()
+    single = [[check_bipartite_pair(ScoreSequencePair(a, b)) is None for b in b_rows] for a in a_rows]
+    mismatches = [
+        (a, b) for a, got, want in zip(a_rows, batch, single) for b, x, y in zip(b_rows, got, want) if x != y
+    ]
+    assert not mismatches, mismatches[:3]
+
+
+def test_pairs_pass_exhaustive_against_check_bipartite_pair():
+    # every shape with m * n <= 12, entries one above the attainable range
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            a_rows = list(combinations_with_replacement(range(0, 2 * n + 2), m))
+            b_rows = list(combinations_with_replacement(range(0, 2 * m + 2), n))
+            assert_batch_matches_pairs(a_rows, b_rows)
+
+
+@st.composite
+def row_blocks(draw, max_len=7):
+    """A block of nondecreasing a rows of one drawn length m and one of
+    b rows of length n, entries up to 2n + 1 and 2m + 1."""
+    m, n = draw(st.integers(1, max_len)), draw(st.integers(1, max_len))
+
+    def block(length, top):
+        row = st.lists(st.integers(0, top), min_size=length, max_size=length).map(sorted).map(tuple)
+        return draw(st.lists(row, min_size=1, max_size=8))
+
+    return block(m, 2 * n + 1), block(n, 2 * m + 1)
+
+
+@given(row_blocks())
+def test_pairs_pass_matches_check_bipartite_pair(blocks):
+    assert_batch_matches_pairs(*blocks)
 
 
 @given(nondecreasing_sequences(max_len=8, max_value=16))

@@ -399,50 +399,95 @@ def test_report_flags_follow_the_counterexamples():
     assert report.necessity_ok
 
 
-def two_loop_equivalence(m, n):
+def two_loop_equivalence(m, n, passes):
     """Reference lane: a necessity loop over the realized pairs, then a
-    sufficiency loop over every candidate pair not realized."""
+    sufficiency loop over every candidate pair not realized, each pair
+    judged one at a time by ``passes(a, b)``."""
     from itertools import combinations_with_replacement
-
-    from scoresets.graph_core import ScoreSequencePair
 
     realized = set(catalog_for_shape(m, n, sets=False).pairs)
     counterexamples = []
     for a, b in sorted(realized):
-        if oracle.check_bipartite_pair(ScoreSequencePair(a, b)) is not None:
+        if not passes(a, b):
             counterexamples.append(("necessity", a, b))
     for a in combinations_with_replacement(range(2 * n + 1), m):
         for b in combinations_with_replacement(range(2 * m + 1), n):
-            if (a, b) in realized:
-                continue
-            if oracle.check_bipartite_pair(ScoreSequencePair(a, b)) is None:
+            if (a, b) not in realized and passes(a, b):
                 counterexamples.append(("sufficiency", a, b))
     return counterexamples
 
 
 def test_criterion_equivalence_matches_two_loop_reference(monkeypatch):
-    from scoresets.criteria import Violation
+    from scoresets.criteria import check_bipartite_pair
+    from scoresets.graph_core import ScoreSequencePair
 
-    exact = oracle.check_bipartite_pair
+    exact = oracle.bipartite_pairs_pass
 
-    def faulty(pair):
-        # flips the verdict on a slice of both realized and unrealized pairs
-        violation = exact(pair)
-        if pair.a[0] == 1 or sum(pair.b) % 5 == 0:
-            return Violation((1, 1), 0, 0) if violation is None else None
-        return violation
+    # both lanes flip the verdict on a slice of realized and unrealized pairs
+    def faulty_batch(a_rows, b_rows):
+        flip = (a_rows[:, 0] == 1)[:, None] | (b_rows.sum(axis=1) % 5 == 0)
+        return exact(a_rows, b_rows) ^ flip
 
-    monkeypatch.setattr(oracle, "check_bipartite_pair", faulty)
+    def faulty_pair(a, b):
+        passes = check_bipartite_pair(ScoreSequencePair(a, b)) is None
+        return passes != (a[0] == 1 or sum(b) % 5 == 0)
+
+    monkeypatch.setattr(oracle, "bipartite_pairs_pass", faulty_batch)
     total = 0
     kinds = set()
     for m in range(1, 4):
         for n in range(1, 4):
             report = criterion_equivalence(m, n)
-            assert report.counterexamples == two_loop_equivalence(m, n), (m, n)
+            assert report.counterexamples == two_loop_equivalence(m, n, faulty_pair), (m, n)
             total += len(report.counterexamples)
             kinds.update(kind for kind, _, _ in report.counterexamples)
     assert total > 0
     assert kinds == {"necessity", "sufficiency"}
+
+
+def test_criterion_equivalence_reports_what_it_checked():
+    report = criterion_equivalence(1, 1)
+    assert (report.candidates, report.passing) == (9, 3)
+    report = criterion_equivalence(3, 4)
+    assert (report.candidates, report.passing) == (165 * 210, 1179)
+
+
+def test_criterion_equivalence_holds_at_4x4_in_blocks(monkeypatch):
+    exact = oracle.bipartite_pairs_pass
+    blocks = []
+
+    def recording(a_rows, b_rows):
+        blocks.append(a_rows.shape[0] * b_rows.shape[0])
+        return exact(a_rows, b_rows)
+
+    monkeypatch.setattr(oracle, "bipartite_pairs_pass", recording)
+    report = criterion_equivalence(4, 4)
+    assert report.counterexamples == []
+    assert report.candidates == sum(blocks) == 495 * 495
+    assert len(blocks) == 4 and max(blocks) <= oracle._CHUNK
+
+
+def test_criterion_equivalence_blocks_stay_within_the_chunk_at_every_shape():
+    import math
+
+    # one a candidate per block keeps a block within _CHUNK pairs
+    for m in range(1, 32):
+        for n in range(1, 32):
+            if 2 * max(m, n) <= 62 and m * n < 40:
+                assert math.comb(2 * m + n, n) <= oracle._CHUNK, (m, n)
+
+
+def test_criterion_equivalence_is_independent_of_the_block_size(monkeypatch):
+    exact = oracle.bipartite_pairs_pass
+
+    def faulty_batch(a_rows, b_rows):
+        return exact(a_rows, b_rows) ^ (b_rows.sum(axis=1) % 3 == 0)
+
+    monkeypatch.setattr(oracle, "bipartite_pairs_pass", faulty_batch)
+    whole = criterion_equivalence(3, 3)
+    monkeypatch.setattr(oracle, "_CHUNK", 100)
+    assert criterion_equivalence(3, 3) == whole
+    assert whole.counterexamples
 
 
 def test_criterion_equivalence_1x1_passing_pairs():
