@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -300,26 +301,75 @@ def test_line_lanes_at_long_shapes(m_max, n_max, monkeypatch):
             assert Witness(found.m, found.n, EnumerationSpace(found.m, found.n).encode(found)) == expected
 
 
+def record_lanes(monkeypatch):
+    """Record in the returned set which search lanes run: "rows" for
+    the row lane, "multisets" for ``_candidates``."""
+    lanes = set()
+    combine, candidates = oracle._combine_lines, oracle._candidates
+
+    def rows(*args):
+        lanes.add("rows")
+        return combine(*args)
+
+    def multisets(*args):
+        lanes.add("multisets")
+        return candidates(*args)
+
+    monkeypatch.setattr(oracle, "_combine_lines", rows)
+    monkeypatch.setattr(oracle, "_candidates", multisets)
+    return lanes
+
+
 def test_line_lanes_find_the_scan_witness(monkeypatch):
     # every admitted subset of {0..8}: the same first index as the
     # catalog's full scan, or None for a set the shape does not have,
-    # whether rows or columns are combined
-    combine = oracle._combine_lines
-    lanes = set()
-
-    def recording(count, target, weights, scores, nets, scale, ordered):
-        lanes.add(ordered)
-        return combine(count, target, weights, scores, nets, scale, ordered)
-
-    monkeypatch.setattr(oracle, "_combine_lines", recording)
-    for m, n in [(2, 4), (4, 2), (3, 3), (1, 7), (7, 1), (1, 1), (1, 6), (2, 3), (3, 2), (6, 1)]:
-        sets = catalog_for_shape(m, n, pairs=False).sets
+    # whether the row lane or the multiset lane searches
+    shapes = [(2, 4), (4, 2), (3, 3), (1, 7), (7, 1), (1, 1), (1, 6), (2, 3), (3, 2), (6, 1)]
+    catalogs = {(m, n): catalog_for_shape(m, n, pairs=False).sets for m, n in shapes}
+    lanes = record_lanes(monkeypatch)
+    for (m, n), sets in catalogs.items():
         for mask in range(1, 1 << 9):
             values = oracle._values_of(mask)
             if oracle._shape_admits(values, m, n):
                 expected = sets[values].index if values in sets else None
                 assert oracle._first_by_lines(m, n, mask) == expected, (m, n, values)
-    assert lanes == {True, False}
+    assert lanes == {"rows", "multisets"}
+
+
+@pytest.mark.parametrize("m,n", [(2, 8), (8, 2), (3, 5), (5, 3)])
+def test_multiset_lane_finds_the_catalog_witness(m, n, monkeypatch):
+    # sampled realized sets get the catalog's first witness, sampled
+    # admitted but unrealized ones None; the multiset lane searches some
+    # of them, and its answers do not depend on the block size
+    sets = catalog_for_shape(m, n, pairs=False).sets
+    realized = sorted(sets)[::12]
+    admitted = [
+        values
+        for values in map(oracle._values_of, range(1, 1 << (2 * max(m, n) + 1), 7))
+        if oracle._shape_admits(values, m, n) and values not in sets
+    ]
+    admitted = admitted[:: len(admitted) // 20]
+    assert len(realized) > 50 and len(admitted) >= 20
+    candidates, generated = oracle._candidates, {}
+
+    def counting(*args):
+        target = args[2]
+        generated[target] = 0
+        for block in candidates(*args):
+            generated[target] += block[0].size
+            yield block
+
+    monkeypatch.setattr(oracle, "_candidates", counting)
+    expected = {oracle._mask_of(values): sets[values].index for values in realized}
+    expected.update((oracle._mask_of(values), None) for values in admitted)
+    assert {target: oracle._first_by_lines(m, n, target) for target in expected} == expected
+    assert len(generated) >= 3
+    # _CHUNK = 7 splits a search of up to 9,000 candidates into up to 1,286 blocks
+    for chunk, most in ((1000, math.inf), (7, 9000)):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        split = [target for target, count in generated.items() if chunk < count <= most]
+        assert split
+        assert [oracle._first_by_lines(m, n, target) for target in split] == [expected[t] for t in split]
 
 
 def test_line_tables_are_cached_and_read_only():
@@ -336,21 +386,29 @@ def test_line_tables_are_cached_and_read_only():
 
 
 def test_bounded_search_never_scans(monkeypatch):
-    line_table = oracle._line_table
+    line_table, multisets = oracle._line_table, oracle._multisets
+    generated = []
 
-    def no_scan(*args):
-        raise AssertionError("catalog candidates generated")
+    def counting(count, size):
+        for block in multisets(count, size):
+            generated.append(len(block))
+            yield block
 
     def short_lines_only(length):
         assert length <= oracle._LINE_MAX, length
         return line_table(length)
 
-    monkeypatch.setattr(oracle, "_multisets", no_scan)
+    monkeypatch.setattr(oracle, "_multisets", counting)
     monkeypatch.setattr(oracle, "_line_table", short_lines_only)
     # 1x16 and 16x1 are the only shapes admitted; a full scan of either
-    # would score 3**16 assignments
-    for m_max, n_max in [(1, 16), (16, 1)]:
-        assert bounded_search(ScoreSet((0, 31)), m_max, n_max) is None
+    # would score 3**16 assignments, multisets of single-pair lines at
+    # most C(18, 16); {0,1,2,29} keeps all three column states at 1x16
+    searches = [((0, 31), 1, 16, None), ((0, 31), 16, 1, None), ((0, 1, 2, 29), 1, 16, 7174454)]
+    for values, m_max, n_max, index in searches:
+        generated.clear()
+        found = bounded_search(ScoreSet(values), m_max, n_max)
+        assert sum(generated) <= math.comb(18, 16), (values, m_max, n_max)
+        assert (None if found is None else EnumerationSpace(1, 16).encode(found)) == index
     # sets first realized at the bounds
     for values, m, n in [((1, 9), 2, 6), ((1, 4, 6), 3, 4)]:
         found = bounded_search(ScoreSet(values), m, n)
@@ -468,8 +526,6 @@ def test_criterion_equivalence_holds_at_4x4_in_blocks(monkeypatch):
 
 
 def test_criterion_equivalence_blocks_stay_within_the_chunk_at_every_shape():
-    import math
-
     # one a candidate per block keeps a block within _CHUNK pairs
     for m in range(1, 32):
         for n in range(1, 32):
