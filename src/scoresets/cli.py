@@ -2,7 +2,8 @@
 
 Exit codes: 0 the command completed (negative mathematical answers
 included), 1 bad input, 2 unsupported score-set family, 3 enumeration
-budget exceeded.
+budget exceeded.  A reader that closes stdout early ends the command
+quietly with 0.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import combinations
 from typing import Sequence
@@ -52,9 +54,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return 3
+    except BrokenPipeError as err:
+        if getattr(args, "out", None) is not None:  # the --out file, not stdout
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        _drop_stdout()
+        return 0
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+
+
+def _drop_stdout() -> None:
+    """Point a closed stdout's file descriptor at the null device, so the
+    interpreter's final flush of what is still buffered cannot fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no real file, as in-process
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 @functools.cache  # one parser per process: building it cost more than a cheap command

@@ -9,12 +9,19 @@ U-scores lie in [0, 2n] and V-scores in [0, 2m].
 ``to_json`` and ``to_dot`` format each distinct row of arc states once per
 call, as a template with NUL for the row index, and fill it in for every
 row with those states (block-built graphs have few); none outlives the call.
+
+``from_json`` reads a document in exactly ``to_json``'s layout (JSON
+whitespace around it allowed) in bands of about 128 KiB of text, as numpy
+byte arrays, with no object per arc.  Any other valid document, such as a
+pretty-printed one or one with its keys reordered, is still accepted: it
+goes through ``json.loads``, which also words every error.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Sequence
@@ -113,6 +120,18 @@ _JSON_ARCS = (None, '{"u":\0,"v":%d,"dir":"uv"}', '{"u":\0,"v":%d,"dir":"vu"}')
 _DOT_ARCS = (None, "  u\0 -> v%d;", "  v%d -> u\0;")
 # one byte per pair: the largest arc buffer a graph may allocate is 256 MiB
 _MAX_PAIRS = 2**28
+
+# from_json's array lane: to_json's header, the text after its arcs' "]"
+# when blocks follow, and one arc without its indices (direction at _DIR)
+_JSON_HEAD = re.compile(r'[ \t\n\r]*\{"m":(0|[1-9][0-9]{0,17}),"n":(0|[1-9][0-9]{0,17}),"arcs":\[')
+_BLOCKS_KEY = '],"blocks":'
+_ARC = b'{"u":,"v":,"dir":"uv"},'
+_DIR = 18
+_DIGITS = b"0123456789"
+_ZERO, _COLON, _COMMA, _U = b"0:,u"
+# digits of an index that fit int64; characters of text read per band
+_MAX_DIGITS = 18
+_BAND = 1 << 17
 
 
 def _require_dense(m: int, n: int) -> None:
@@ -221,7 +240,56 @@ class BipartiteOrientedGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "BipartiteOrientedGraph":
-        """Parse a graph JSON document.  Raises ValueError on any defect."""
+        """Parse a graph JSON document.  Raises ValueError on any defect.
+
+        A document in exactly ``to_json``'s layout is read in bands by
+        ``_from_bands``; every other text goes to ``_from_doc``, which is
+        also the only source of error messages."""
+        graph = cls._from_bands(text)
+        return cls._from_doc(text) if graph is None else graph
+
+    @classmethod
+    def _from_bands(cls, text: str) -> "BipartiteOrientedGraph | None":
+        """The graph of ``text`` if it is in exactly ``to_json``'s layout
+        (surrounding JSON whitespace allowed) and ``_from_doc`` would accept
+        it, else None.  Never raises, and allocates the graph only after
+        every band has been read."""
+        head = _JSON_HEAD.match(text) if isinstance(text, str) else None
+        if head is None:
+            return None
+        m, n = int(head[1]), int(head[2])
+        if m < 1 or n < 1 or m * n > _MAX_PAIRS:
+            return None
+        start = head.end()
+        close = text.find("]", start)  # the arcs' text has no "]"
+        if close < 0 or not _is_json_tail(text[close:].rstrip(" \t\n\r")):
+            return None
+        bands = []
+        while start < close:
+            if close - start > _BAND:
+                # a band ends after the "}," of an arc, the next starts at its "{"
+                cut = text.rfind("},{", start, start + _BAND)
+                if cut < 0:
+                    return None
+                band, start = text[start : cut + 2], cut + 2
+            else:
+                band, start = text[start:close] + ",", close
+            arcs = _read_arc_band(band, m, n)
+            if arcs is None:
+                return None
+            bands.append(arcs)
+        graph = cls(m, n)
+        cells = np.frombuffer(graph._arcs, dtype=np.uint8)
+        for pos, states in bands:
+            cells[pos] = states
+        # a pair listed twice leaves fewer set cells than arcs
+        if np.count_nonzero(cells) != sum(pos.size for pos, _ in bands):
+            return None
+        return graph
+
+    @classmethod
+    def _from_doc(cls, text: str) -> "BipartiteOrientedGraph":
+        """Parse any graph JSON document with ``json.loads``, one dict per arc."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -267,6 +335,57 @@ class BipartiteOrientedGraph:
         lines += self._arc_rows(_DOT_ARCS, "\n")
         lines += ["}", ""]
         return "\n".join(lines)
+
+
+def _is_json_tail(tail: str) -> bool:
+    """Whether ``tail`` closes ``to_json``'s arcs list and document: ``]}``,
+    or ``],"blocks":`` and one JSON value, then ``}``."""
+    if tail == "]}":
+        return True
+    if not (tail.startswith(_BLOCKS_KEY) and tail.endswith("}")):
+        return False
+    try:
+        json.loads(tail[len(_BLOCKS_KEY) : -1])
+    except (ValueError, RecursionError):
+        return False
+    return True
+
+
+def _read_arc_band(band: str, m: int, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Pair offsets (u * n + v) and states of ``band``, whole arcs of
+    ``to_json``'s layout each followed by a comma; None unless every arc is
+    in that layout with in-range indices."""
+    if not band.isascii():
+        return None
+    data = band.encode("ascii")
+    skeleton = data.translate(None, _DIGITS)
+    arcs = len(skeleton) // len(_ARC)
+    # '"uv"' occurs in the arc skeleton only as its direction, so this
+    # holds just where every arc is the skeleton with "uv" or "vu"
+    if skeleton.replace(b'"vu"', b'"uv"') != _ARC * arcs:
+        return None
+    text = np.frombuffer(data, dtype=np.uint8)
+    digit = text - _ZERO < 10  # bytes below "0" wrap around
+    # the skeleton's only ":" then "," gaps are the u and v slots, and a gap
+    # holds at most one digit run, so two runs per arc fill every slot once
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    if edges.size != 4 * arcs:
+        return None
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = ends - starts
+    leading_zero = (text[starts] == _ZERO) & (lengths > 1)
+    misplaced = (text[starts - 1] != _COLON) | (text[ends] != _COMMA)
+    if (misplaced | leading_zero | (lengths > _MAX_DIGITS)).any():
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(lengths.max())):
+        live = np.flatnonzero(lengths > k)
+        values[live] = values[live] * 10 + (text[starts[live] + k] - _ZERO)
+    u, v = values[0::2], values[1::2]
+    if ((u >= m) | (v >= n)).any():
+        return None
+    states = np.frombuffer(skeleton, dtype=np.uint8)[_DIR :: len(_ARC)] - (_U - 1)
+    return (u * n + v).astype(np.int32), states
 
 
 def _block_doc(block: Block) -> dict:

@@ -219,13 +219,17 @@ def _set_masks(u_scores: np.ndarray, v_scores: np.ndarray) -> np.ndarray:
 def _first_by_lines(m: int, n: int, target: int) -> int | None:
     """Least index of shape (m, n) whose set mask is ``target``, or None:
     the row lane where the kept rows make at most four times as many
-    assignments as the kept columns, or where columns exceed
-    ``_LINE_MAX`` pairs; otherwise the least hit of ``_candidates`` on
-    the kept lines, whose blocks do not ascend in index (see the module
-    docstring)."""
+    assignments as the kept columns (or, where columns exceed
+    ``_LINE_MAX`` pairs, as ``_candidates`` has multisets of kept rows);
+    otherwise the least hit of ``_candidates`` on the kept lines, whose
+    blocks do not ascend in index (see the module docstring)."""
     if n <= _LINE_MAX:
         rows = _kept_lines(n, target)
-        if m > _LINE_MAX or rows.size**m <= 4 * _kept_lines(m, target).size ** n:
+        if m > _LINE_MAX:
+            other = math.comb(rows.size + m - 1, m)
+        else:
+            other = _kept_lines(m, target).size ** n
+        if rows.size**m <= 4 * other:
             return _combine_lines(m, n, target, rows)
     hits = [index[_set_masks(u, v) == target] for index, u, v in _candidates(m, n, target)]
     return min((int(block.min()) for block in hits if block.size), default=None)

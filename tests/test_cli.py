@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import resource
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import scoresets
+from scoresets import cli
 from scoresets.cli import main
 
 
@@ -67,6 +70,50 @@ def test_score_rejects_bad_file(tmp_path, capsys):
     code, _, err = run(capsys, "score", "--graph", str(bad))
     assert code == 1
     assert "error" in err
+
+
+def refuse_write(*args):
+    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    write = refuse_write
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "--set", "1,2,5", "--format", "json"],
+        ["search", "--set", "1,2", "--max-m", "1", "--max-n", "2"],
+        ["check-pair", "--a", "1", "--b", "1"],
+    ],
+)
+def test_closed_stdout_exits_0_quietly(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_file_descriptor_goes_to_null_device(capsys, monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe:
+        monkeypatch.setattr(pipe, "write", refuse_write)
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["check-pair", "--a", "1", "--b", "1"]) == 0
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_out_file_broken_pipe_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: ClosedPipe(), raising=False)
+    code, out, err = run(
+        capsys, "realize", "--set", "1,2,5", "--format", "json", "--out", str(tmp_path / "g.json")
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_realize_unsupported_exit_2(capsys):

@@ -1,11 +1,13 @@
 import json
 import re
+import warnings
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from conftest import graphs
+from scoresets import graph_core
 from scoresets.graph_core import (
     ArcState,
     BipartiteOrientedGraph,
@@ -158,6 +160,65 @@ MALFORMED_DOCUMENTS = [
         '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":["uv"]}]}',
         "arc dir must be 'uv' or 'vu': {'u': 0, 'v': 0, 'dir': ['uv']}",
     ),
+    # documents that look like to_json's layout but are not in it
+    (
+        '{"m":2,"n":1,"arcs":[{"u":01,"v":0,"dir":"uv"}]}',
+        "not valid JSON: Expecting ',' delimiter: line 1 column 28 (char 27)",
+    ),
+    ('{"m":01,"n":1,"arcs":[]}', "not valid JSON: Expecting ',' delimiter: line 1 column 7 (char 6)"),
+    (
+        '{"m":1,"n":1,"arcs":[],"blocks":{"U":[],"V":[]}}x',
+        "not valid JSON: Extra data: line 1 column 49 (char 48)",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":"uv"}],"blocks":1,"m":0}',
+        "both parts must be nonempty, got m=0, n=1",
+    ),
+    (
+        '{"m":100000,"n":100000,"arcs":[x]}',
+        "not valid JSON: Expecting value: line 1 column 32 (char 31)",
+    ),
+    (
+        '{"m":1,"n":2,"arcs":[{"u":0,"v":1,"dir":"uv"},{"u":0,"v":1,"dir":"vu"}]}',
+        "pair (0, 1) listed more than once",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":"uv"},{"u":0,"v":1,"dir":"vu"}]}',
+        "arc indices out of range: {'u': 0, 'v': 1, 'dir': 'vu'}",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":,"v":0,"dir":"uv"0}]}',
+        "not valid JSON: Expecting value: line 1 column 27 (char 26)",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":,"v":0,"dir":"uv"}]}',
+        "not valid JSON: Expecting value: line 1 column 27 (char 26)",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[5{"u":0,"v":0,"dir":"uv"}]}',
+        "not valid JSON: Expecting ',' delimiter: line 1 column 23 (char 22)",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[5{"u":,"v":0,"dir":"uv"}]}',
+        "not valid JSON: Expecting ',' delimiter: line 1 column 23 (char 22)",
+    ),
+    (
+        # 2**64, which wraps to 0 in int64
+        '{"m":1,"n":1,"arcs":[{"u":18446744073709551616,"v":0,"dir":"uv"}]}',
+        "arc indices out of range: {'u': 18446744073709551616, 'v': 0, 'dir': 'uv'}",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":"wt"}]}',
+        "arc dir must be 'uv' or 'vu': {'u': 0, 'v': 0, 'dir': 'wt'}",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":"uu"}]}',
+        "arc dir must be 'uv' or 'vu': {'u': 0, 'v': 0, 'dir': 'uu'}",
+    ),
+    (
+        '{"m":1,"n":1,"arcs":[{"u":0,"v":0,"dir":"é"}]}',
+        "arc dir must be 'uv' or 'vu': {'u': 0, 'v': 0, 'dir': 'é'}",
+    ),
 ]
 
 
@@ -165,8 +226,69 @@ MALFORMED_DOCUMENTS = [
     "doc,message", MALFORMED_DOCUMENTS, ids=[doc for doc, _ in MALFORMED_DOCUMENTS]
 )
 def test_json_malformed_documents_rejected(doc, message):
+    assert BipartiteOrientedGraph._from_bands(doc) is None
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BipartiteOrientedGraph.from_json(doc)
+
+
+def test_json_later_duplicate_key_wins():
+    # json.loads keeps the last "m", so this is a 5x1 graph, not to_json's 1x1
+    g = BipartiteOrientedGraph.from_json('{"m":1,"n":1,"arcs":[],"blocks":1,"m":5}')
+    assert g == BipartiteOrientedGraph(5, 1)
+
+
+def read_outcome(reader, text):
+    try:
+        return reader(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def edited_documents(draw):
+    """to_json output of a random graph, with or without blocks, then
+    possibly one character replaced, inserted or deleted."""
+    g = draw(st.one_of(graphs(max_m=12, max_n=12), repeated_row_graphs()))
+    u_blocks = draw(block_lists(g.m, "X"))
+    v_blocks = draw(block_lists(g.n, "Y"))
+    blocks = None if u_blocks is None and v_blocks is None else (u_blocks or [], v_blocks or [])
+    text = g.to_json(blocks=blocks)
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from('0123456789{}[]:,"uvdirmnbloks \t\n-.eé'))
+    edit = draw(st.sampled_from(["none", "replace", "insert", "delete"]))
+    if edit == "replace":
+        text = text[:at] + char + text[at + 1 :]
+    elif edit == "insert":
+        text = text[:at] + char + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1 :]
+    return text
+
+
+@given(edited_documents())
+def test_band_lane_agrees_with_general_reader(text):
+    expected = read_outcome(BipartiteOrientedGraph._from_doc, text)
+    assert read_outcome(BipartiteOrientedGraph.from_json, text) == expected
+    graph = BipartiteOrientedGraph._from_bands(text)  # never raises
+    assert graph is None or graph == expected
+
+
+def test_to_json_output_is_read_in_bands(monkeypatch):
+    def general_reader(cls, text):
+        raise AssertionError("to_json output reached the per-arc reader")
+
+    monkeypatch.setattr(BipartiteOrientedGraph, "_from_doc", classmethod(general_reader))
+    # 120x120 with every pair set: 14,400 arcs, more than one band
+    full = graph_of([[1 + (u * v) % 2 for v in range(120)] for u in range(120)])
+    samples = [(graph_of(SHAPED_GRAPHS[name]), None) for name in sorted(SHAPED_GRAPHS)]
+    samples += [(full, None), (full, ([Block("X0", 0, 120, 7)], []))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g, blocks in samples:
+            text = g.to_json(blocks=blocks)
+            assert BipartiteOrientedGraph.from_json(text) == g
+            assert BipartiteOrientedGraph.from_json(f" \n{text}\r\n\t") == g
+    assert len(full.to_json()) > 2 * graph_core._BAND
 
 
 def reference_arcs(g):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -333,6 +334,22 @@ def test_line_lanes_find_the_scan_witness(monkeypatch):
             if oracle._shape_admits(values, m, n):
                 expected = sets[values].index if values in sets else None
                 assert oracle._first_by_lines(m, n, mask) == expected, (m, n, values)
+    assert lanes == {"rows", "multisets"}
+
+
+def test_long_columns_lanes_agree(monkeypatch):
+    # columns of 12 to 16 pairs exceed _LINE_MAX; for every subset of
+    # {0..4} the row lane and the multiset lane give the same first index
+    combine, candidates = oracle._combine_lines, oracle._candidates
+    lanes = record_lanes(monkeypatch)
+    for m in range(12, 17):
+        for size in range(1, 6):
+            for values in combinations(range(5), size):
+                target = oracle._mask_of(values)
+                rows = combine(m, 1, target, oracle._kept_lines(1, target))
+                hits = [i[oracle._set_masks(u, v) == target] for i, u, v in candidates(m, 1, target)]
+                multisets = min((int(h.min()) for h in hits if h.size), default=None)
+                assert rows == multisets == oracle._first_by_lines(m, 1, target), (m, values)
     assert lanes == {"rows", "multisets"}
 
 
