@@ -44,8 +44,10 @@ point enforces a budget cap on 3**(m*n) before touching a shape.
 lane, and both return the first witness of a full scan.  The row lane
 combines the kept rows in ascending index and stops at its first hit;
 it serves shapes whose kept rows make at most four times as many
-assignments as their kept columns.  The others run the catalogs'
-multiset lane on kept lines only and take the least hit of all blocks.
+assignments as their kept columns (or, where columns are longer than
+``_LINE_MAX`` pairs, as there are multisets of kept rows).  The others
+run the catalogs' multiset lane on kept lines only and take the least
+hit of all blocks.
 That is exact: permuting rows or columns keeps every line's score, so
 an orbit made of kept lines stays made of them, and its least index has
 nonincreasing line codes.  Listing multisets of rows in ascending index
