@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -127,16 +128,17 @@ def test_shard_merge_determinism(monkeypatch):
     found = bounded_search(ScoreSet((0, 2, 6)), 2, 3)
     assert (found.m, found.n, EnumerationSpace(2, 3).encode(found)) == (2, 3, 368)
     assert bounded_search(ScoreSet((0,)), 2, 3) is None
-    references = {(m, n): catalog_for_shape(m, n) for m, n in [(3, 3), (2, 5)]}
+    # 3x3 builds rows, 2x6 columns; each has more than 1000 candidates
+    references = {(m, n): catalog_for_shape(m, n) for m, n in [(3, 3), (2, 6)]}
     sizes = []
-    multisets = oracle._multisets
+    candidates = oracle._candidates
 
-    def recording(count, size):
-        for block in multisets(count, size):
-            sizes.append(len(block))
+    def recording(*args):
+        for block in candidates(*args):
+            sizes.append(block[0].size)
             yield block
 
-    monkeypatch.setattr(oracle, "_multisets", recording)
+    monkeypatch.setattr(oracle, "_candidates", recording)
     for cap in (1, 7, 1000):
         monkeypatch.setattr(oracle, "_CHUNK", cap)
         for (m, n), reference in references.items():
@@ -304,7 +306,7 @@ def test_line_lanes_at_long_shapes(m_max, n_max, monkeypatch):
 
 def record_lanes(monkeypatch):
     """Record in the returned set which search lanes run: "rows" for
-    the row lane, "multisets" for ``_candidates``."""
+    the row lane, "sorted" for ``_candidates``."""
     lanes = set()
     combine, candidates = oracle._combine_lines, oracle._candidates
 
@@ -312,19 +314,19 @@ def record_lanes(monkeypatch):
         lanes.add("rows")
         return combine(*args)
 
-    def multisets(*args):
-        lanes.add("multisets")
+    def sorted_lane(*args):
+        lanes.add("sorted")
         return candidates(*args)
 
     monkeypatch.setattr(oracle, "_combine_lines", rows)
-    monkeypatch.setattr(oracle, "_candidates", multisets)
+    monkeypatch.setattr(oracle, "_candidates", sorted_lane)
     return lanes
 
 
 def test_line_lanes_find_the_scan_witness(monkeypatch):
     # every admitted subset of {0..8}: the same first index as the
     # catalog's full scan, or None for a set the shape does not have,
-    # whether the row lane or the multiset lane searches
+    # whether the row lane or the sorted lane searches
     shapes = [(2, 4), (4, 2), (3, 3), (1, 7), (7, 1), (1, 1), (1, 6), (2, 3), (3, 2), (6, 1)]
     catalogs = {(m, n): catalog_for_shape(m, n, pairs=False).sets for m, n in shapes}
     lanes = record_lanes(monkeypatch)
@@ -334,12 +336,12 @@ def test_line_lanes_find_the_scan_witness(monkeypatch):
             if oracle._shape_admits(values, m, n):
                 expected = sets[values].index if values in sets else None
                 assert oracle._first_by_lines(m, n, mask) == expected, (m, n, values)
-    assert lanes == {"rows", "multisets"}
+    assert lanes == {"rows", "sorted"}
 
 
 def test_long_columns_lanes_agree(monkeypatch):
     # columns of 12 to 16 pairs exceed _LINE_MAX; for every subset of
-    # {0..4} the row lane and the multiset lane give the same first index
+    # {0..4} the row lane and the sorted lane give the same first index
     combine, candidates = oracle._combine_lines, oracle._candidates
     lanes = record_lanes(monkeypatch)
     for m in range(12, 17):
@@ -348,15 +350,15 @@ def test_long_columns_lanes_agree(monkeypatch):
                 target = oracle._mask_of(values)
                 rows = combine(m, 1, target, oracle._kept_lines(1, target))
                 hits = [i[oracle._set_masks(u, v) == target] for i, u, v in candidates(m, 1, target)]
-                multisets = min((int(h.min()) for h in hits if h.size), default=None)
-                assert rows == multisets == oracle._first_by_lines(m, 1, target), (m, values)
-    assert lanes == {"rows", "multisets"}
+                least = min((int(h.min()) for h in hits if h.size), default=None)
+                assert rows == least == oracle._first_by_lines(m, 1, target), (m, values)
+    assert lanes == {"rows", "sorted"}
 
 
 @pytest.mark.parametrize("m,n", [(2, 8), (8, 2), (3, 5), (5, 3)])
-def test_multiset_lane_finds_the_catalog_witness(m, n, monkeypatch):
+def test_sorted_lane_finds_the_catalog_witness(m, n, monkeypatch):
     # sampled realized sets get the catalog's first witness, sampled
-    # admitted but unrealized ones None; the multiset lane searches some
+    # admitted but unrealized ones None; the sorted lane searches some
     # of them, and its answers do not depend on the block size
     sets = catalog_for_shape(m, n, pairs=False).sets
     realized = sorted(sets)[::12]
@@ -381,18 +383,106 @@ def test_multiset_lane_finds_the_catalog_witness(m, n, monkeypatch):
     expected.update((oracle._mask_of(values), None) for values in admitted)
     assert {target: oracle._first_by_lines(m, n, target) for target in expected} == expected
     assert len(generated) >= 3
-    # _CHUNK = 7 splits a search of up to 9,000 candidates into up to 1,286 blocks
-    for chunk, most in ((1000, math.inf), (7, 9000)):
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    # blocks of 7 split a search of up to 9,000 candidates into up to 1,286
+    for chunk, most in ((300, math.inf), (7, 9000)):
+        monkeypatch.setattr(oracle, "_BLOCK", chunk * (m + n))
         split = [target for target, count in generated.items() if chunk < count <= most]
         assert split
         assert [oracle._first_by_lines(m, n, target) for target in split] == [expected[t] for t in split]
 
 
+def digit_grids(index, m, n):
+    """The base-3 digits of each index as an (m, n) grid, pair (u, v) at
+    [u, v]."""
+    index = np.asarray(index, dtype=np.int64)
+    return (index[:, None] // 3 ** np.arange(m * n, dtype=np.int64) % 3).reshape(-1, m, n)
+
+
+def doubly_sorted(grids):
+    """Whether each grid has its row codes nonincreasing in u and its
+    column codes nonincreasing in v (pair (u, v) weighs 3**(u*n + v))."""
+    m, n = grids.shape[1:]
+    rows = grids @ 3 ** np.arange(n, dtype=np.int64)
+    cols = np.einsum("kuv,u->kv", grids, 3 ** (n * np.arange(m, dtype=np.int64)))
+    return np.all(rows[:, :-1] >= rows[:, 1:], axis=1) & np.all(cols[:, :-1] >= cols[:, 1:], axis=1)
+
+
+def all_candidates(m, n, target=-1):
+    """Index, U scores and V scores of every candidate, in one array each."""
+    return [np.concatenate(part) for part in zip(*oracle._candidates(m, n, target))]
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+def test_candidates_are_exactly_the_doubly_sorted_assignments(m, n):
+    index = np.arange(3 ** (m * n), dtype=np.int64)
+    expected = index[doubly_sorted(digit_grids(index, m, n))]
+    found, u_scores, v_scores = all_candidates(m, n)
+    assert np.array_equal(np.sort(found), expected)  # each once
+    for i, u, v in zip(found.tolist(), u_scores.tolist(), v_scores.tolist()):
+        graph = EnumerationSpace(m, n).decode(i)
+        assert u == [graph.score_u(k) for k in range(m)] and v == [graph.score_v(k) for k in range(n)]
+
+
+def test_candidate_counts():
+    # against C(3**3 + 3, 4) = 27,405 column multisets at 3x4 and 4x3,
+    # and C(3**4 + 3, 4) = 1,929,501 row multisets at 4x4
+    counts = {(3, 3): 1169, (3, 4): 10020, (4, 3): 10020, (4, 4): 250841}
+    for (m, n), count in counts.items():
+        index = all_candidates(m, n)[0]
+        assert index.size == np.unique(index).size == count, (m, n)
+        assert doubly_sorted(digit_grids(index, m, n)).all(), (m, n)
+
+
+@functools.cache
+def candidate_set(m, n):
+    return frozenset(all_candidates(m, n)[0].tolist())
+
+
+@given(st.sampled_from([(3, 4), (4, 3)]), st.integers(0, 3**12 - 1))
+def test_sorting_lines_reaches_a_candidate(shape, index):
+    # sorting the rows, then the columns, and so on until both stay
+    # sorted keeps every key and never raises the index
+    m, n = shape
+    grid = digit_grids([index], m, n)[0]
+    while not doubly_sorted(grid[None])[0]:
+        grid = grid[np.argsort(-(grid @ 3 ** np.arange(n)), kind="stable")]
+        grid = grid[:, np.argsort(-(3 ** (n * np.arange(m)) @ grid), kind="stable")]
+    least = int(grid.reshape(-1) @ 3 ** np.arange(m * n, dtype=np.int64))
+    assert least <= index and least in candidate_set(m, n)
+    space = EnumerationSpace(m, n)
+    before, after = space.decode(index), space.decode(least)
+    assert after.score_set() == before.score_set()
+    assert after.score_sequences() == before.score_sequences()
+
+
+def test_search_blocks_keep_their_scores_within_the_block(monkeypatch):
+    # a 5x3 search of {0,1,2,3,4,8,9} scores 34,897 candidates in blocks
+    # whose int64 scores, m + n per candidate, take at most _BLOCK
+    # entries; catalogs keep blocks of _CHUNK
+    values = (0, 1, 2, 3, 4, 8, 9)
+    target = oracle._mask_of(values)
+    blocks, candidates = [], oracle._candidates
+
+    def recording(m, n, kept=-1):
+        for block in candidates(m, n, kept):
+            blocks.append((block[0].size, kept))
+            yield block
+
+    monkeypatch.setattr(oracle, "_candidates", recording)
+    witness = catalog_for_shape(5, 3, pairs=False).sets[values]
+    assert oracle._first_by_lines(5, 3, target) == witness.index
+    searched = [size for size, kept in blocks if kept == target]
+    assert sum(searched) == 34897 and len(searched) > 1
+    assert max(searched) * (5 + 3) <= oracle._BLOCK
+    assert max(size for size, kept in blocks if kept == -1) == oracle._CHUNK
+
+
 def test_line_tables_are_cached_and_read_only():
     scores, nets = oracle._line_table(3)
     assert oracle._line_table(3)[0] is scores
-    for table in (scores, nets):
+    ties, lines = oracle._tie_table(3), oracle._shape_lines(3, 4)
+    assert oracle._tie_table(3)[0] is ties[0] and oracle._shape_lines(3, 4)[1] is lines[1]
+    for table in (scores, nets, *ties, *lines):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
     # catalogs and searches share one table per line length
@@ -403,23 +493,23 @@ def test_line_tables_are_cached_and_read_only():
 
 
 def test_bounded_search_never_scans(monkeypatch):
-    line_table, multisets = oracle._line_table, oracle._multisets
+    line_table, candidates = oracle._line_table, oracle._candidates
     generated = []
 
-    def counting(count, size):
-        for block in multisets(count, size):
-            generated.append(len(block))
+    def counting(*args):
+        for block in candidates(*args):
+            generated.append(block[0].size)
             yield block
 
     def short_lines_only(length):
         assert length <= oracle._LINE_MAX, length
         return line_table(length)
 
-    monkeypatch.setattr(oracle, "_multisets", counting)
+    monkeypatch.setattr(oracle, "_candidates", counting)
     monkeypatch.setattr(oracle, "_line_table", short_lines_only)
     # 1x16 and 16x1 are the only shapes admitted; a full scan of either
-    # would score 3**16 assignments, multisets of single-pair lines at
-    # most C(18, 16); {0,1,2,29} keeps all three column states at 1x16
+    # would score 3**16 assignments, doubly sorted ones of single-pair
+    # lines at most C(18, 16); {0,1,2,29} keeps all three column states at 1x16
     searches = [((0, 31), 1, 16, None), ((0, 31), 16, 1, None), ((0, 1, 2, 29), 1, 16, 7174454)]
     for values, m_max, n_max, index in searches:
         generated.clear()
@@ -598,7 +688,7 @@ def test_shapes_beyond_int64_rejected_before_any_allocation(m, n, monkeypatch):
     def no_scan(*args):
         raise AssertionError("scan started")
 
-    for name in ("_multisets", "_line_table"):
+    for name in ("_doubly_sorted", "_shape_lines", "_tie_table", "_line_table"):
         monkeypatch.setattr(oracle, name, no_scan)
     monkeypatch.setattr(oracle.EnumerationSpace, "decode", no_scan)
     budget = 3 ** (m * n)  # the budget admits the shape; the int64 range does not
@@ -649,7 +739,7 @@ def test_catalog_for_shape_without_kinds_scans_nothing(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scan started")
 
-    for name in ("_multisets", "_line_table"):
+    for name in ("_doubly_sorted", "_shape_lines", "_tie_table", "_line_table"):
         monkeypatch.setattr(oracle, name, no_scan)
     for m, n in [(4, 4), (5, 4)]:  # 5x4 is over the budget: the flags are checked first
         with pytest.raises(ValueError, match="sets=True or pairs=True"):
