@@ -22,8 +22,7 @@ A graph with score set S has every U score and every V score in S.
 The score of U vertex u depends on row u alone (the digits u * n ..
 u * n + n - 1), that of V vertex v on column v alone; call a line kept
 if its own score is in S.  The states of a line of k pairs come from a
-table of 3**k entries, built once per process; lines are capped at
-``_LINE_MAX`` pairs.
+table of 3**k entries, built once per process.
 
 Catalogs score only doubly sorted assignments.  Permuting the rows of
 a graph permutes its U scores and leaves its V scores as they are, so
@@ -45,26 +44,22 @@ works on blocks of at most ``_CHUNK`` candidates, and blocks merge by
 least index, so the outcome is independent of the block size.  Every
 entry point enforces a budget cap on 3**(m*n) before touching a shape.
 
-``bounded_search`` never scans a shape; each admitted shape takes one
-lane, and both return the first witness of a full scan.  The row lane
-combines the kept rows in ascending index and stops at its first hit;
-it serves shapes whose kept rows make at most four times as many
-assignments as their kept columns (or, where columns are longer than
-``_LINE_MAX`` pairs, as there are multisets of kept rows).  The others
-run the catalogs' sorted lane with only kept lines on the shorter side
-and take the least hit of all blocks.
-That is exact: permuting rows or columns keeps every line's score, so
-an orbit made of kept lines stays made of them, and its least index is
-doubly sorted.  Listing multisets of rows in ascending index instead of
-the row product raised the median search time by 23% to 100% (early
-witnesses pay for unranking and per-block setup).
+``bounded_search`` never scans a shape.  Each admitted shape runs the
+catalogs' generator with only kept lines on the shorter side, which
+m * n < 40 keeps at 6 pairs or fewer.  That is exact: permuting rows or
+columns keeps every line's score, so an orbit made of kept lines stays
+made of them, and its least index is doubly sorted.  A row-built shape
+(n <= m) stops at its first hit: its most significant row is built
+first, and row state r adds r * 3**(n*u) with r < 3**n, so the
+lexicographic order of its row states is the index order.  The digits
+of columns interleave in the index, so a column-built shape (n > m)
+takes the least hit of all its blocks.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
@@ -78,14 +73,10 @@ DEFAULT_BUDGET = 3**16
 # candidates per block of a catalog: each array of a block holds at most
 # 2**16 * (m + n) int64s, 4 MB at 4x4
 _CHUNK = 1 << 16
-# int64s per block of a search: the row lane's set masks, the sorted
-# lane's scores (m + n per candidate); at 256 KiB whatever the target, no
-# search frees a block large enough to raise glibc's malloc thresholds
-# for the rest of the process
+# int64s per block of a search, its scores (m + n per candidate); at
+# 256 KiB whatever the target, no search frees a block large enough to
+# raise glibc's malloc thresholds for the rest of the process
 _BLOCK = 1 << 15
-# pairs per line of a line table: a table of 3**11 states
-# takes about 3.4 MB; m * n < 40 leaves at most one part's lines longer
-_LINE_MAX = 11
 
 
 class BudgetExceededError(RuntimeError):
@@ -167,81 +158,20 @@ def _line_table(length: int) -> tuple[np.ndarray, np.ndarray]:
     return scores, nets
 
 
-def _line_choices(
-    pos: np.ndarray, rows: np.ndarray, bits: np.ndarray, nets: np.ndarray, count: int, scale: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index, own-score mask and summed nets of ``count`` rows, row k
-    taking the allowed state rows[d_k], d_k the base-len(rows) digits of
-    each position; row k adds ``rows[d_k] * scale**k`` to the index."""
-    index = np.zeros(pos.size, dtype=np.int64)
-    mask = np.zeros(pos.size, dtype=np.int64)
-    net = np.zeros((pos.size, nets.shape[1]), dtype=np.int8)
-    for k in range(count):
-        pos, digit = np.divmod(pos, rows.size)
-        index += rows[digit] * scale**k
-        mask |= bits[digit]
-        net += nets[digit]
-    return index, mask, net
-
-
-def _combine_lines(m: int, n: int, target: int, rows: np.ndarray) -> int | None:
-    """Least index of shape (m, n) whose set mask is ``target`` among
-    the assignments made of the ascending row states ``rows``, or None.
-    The lower ``low`` rows are built once, the upper ones in blocks that
-    double up to about ``_BLOCK`` assignments; positions ascend with the
-    index, so the first hit is the answer."""
-    if rows.size == 0:
-        return None
-    scores, nets = _line_table(n)
-    bits, nets, scale = _BIT[scores[rows]], nets[rows], 3**n
-    low = 1
-    while low < m - 1 and rows.size ** (low + 1) <= _BLOCK:
-        low += 1
-    lo_index, lo_mask, lo_net = _line_choices(np.arange(rows.size**low), rows, bits, nets, low, scale)
-    upper, start, step = rows.size ** (m - low), 0, 1
-    while start < upper:
-        pos = np.arange(start, min(start + step, upper), dtype=np.int64)
-        start, step = start + step, min(2 * step, max(1, _BLOCK // lo_index.size))
-        hi_index, hi_mask, hi_net = _line_choices(pos, rows, bits, nets, m - low, scale)
-        other = m - (hi_net[:, None] + lo_net)
-        masks = hi_mask[:, None] | lo_mask
-        for v in range(n):
-            masks |= _BIT[other[..., v]]
-        hits = np.flatnonzero(masks == target)
-        if hits.size:
-            top, bottom = divmod(int(hits[0]), lo_index.size)
-            return int(hi_index[top]) * scale**low + int(lo_index[bottom])
-    return None
-
-
-def _kept_lines(length: int, target: int) -> np.ndarray:
-    """Ascending states of a line whose own score is in ``target``."""
-    return np.flatnonzero(target >> _line_table(length)[0] & 1)
-
-
 def _set_masks(u_scores: np.ndarray, v_scores: np.ndarray) -> np.ndarray:
     """Set mask of each candidate, from its U scores and V scores."""
     return np.bitwise_or.reduce(_BIT[np.concatenate([u_scores, v_scores], axis=1)], axis=1)
 
 
 def _first_by_lines(m: int, n: int, target: int) -> int | None:
-    """Least index of shape (m, n) whose set mask is ``target``, or None.
-    The row lane serves shapes where the kept rows make at most four
-    times as many assignments as the kept columns; where columns exceed
-    ``_LINE_MAX`` pairs, the rule weighs the multisets of kept rows
-    instead, which bound the sorted lane's candidates from above.  Other
-    shapes take the least hit of the sorted lane, ``_candidates`` with
-    kept lines, whose blocks do not ascend in index (see the module
-    docstring)."""
-    if n <= _LINE_MAX:
-        rows = _kept_lines(n, target)
-        if m > _LINE_MAX:
-            other = math.comb(rows.size + m - 1, m)
-        else:
-            other = _kept_lines(m, target).size ** n
-        if rows.size**m <= 4 * other:
-            return _combine_lines(m, n, target, rows)
-    hits = [index[_set_masks(u, v) == target] for index, u, v in _candidates(m, n, target)]
+    """Least index of shape (m, n) whose set mask is ``target``, or None:
+    the least hit among ``_candidates`` with kept lines.  Blocks of a
+    row-built shape (n <= m) ascend in index, so its first hit is the
+    answer; those of a column-built shape do not, so all its blocks are
+    searched (see the module docstring)."""
+    hits = (index[_set_masks(u, v) == target] for index, u, v in _candidates(m, n, target))
+    if n <= m:
+        return next((int(block[0]) for block in hits if block.size), None)
     return min((int(block.min()) for block in hits if block.size), default=None)
 
 
@@ -567,7 +497,7 @@ def bounded_search(
     target's maximum exceeds every attainable score, and those whose
     score total 2mn no graph with the target's values can reach (the
     bound in the module docstring).  The others are searched without a
-    scan, by the row lane or the sorted lane of kept lines.
+    scan, over the doubly sorted assignments made of kept lines.
     """
     values = tuple(score_set)
     for m, n in _shapes(m_max, n_max, budget):

@@ -285,9 +285,8 @@ def test_bounded_search_allocates_nothing_for_a_huge_value():
 
 @pytest.mark.parametrize("m_max,n_max", [(1, 12), (12, 1)])
 def test_line_lanes_at_long_shapes(m_max, n_max, monkeypatch):
-    # lines of 12 pairs exceed the line tables, so 1x12 is built from
-    # its columns and 12x1 from its rows; the first witness is the
-    # catalog's at the first shape that has the set
+    # 1x12 is built from its single-pair columns and 12x1 from its rows;
+    # the first witness is the catalog's at the first shape that has the set
     catalogs = [catalog_for_shape(m, n, pairs=False).sets for m, n in oracle._shapes(m_max, n_max, 3**12)]
     scanned = record_shapes(monkeypatch)
     realized = [(1, 2, 11), (0, 2, 22), (0, 1, 2, 21)]  # first at the long shape
@@ -304,62 +303,41 @@ def test_line_lanes_at_long_shapes(m_max, n_max, monkeypatch):
             assert Witness(found.m, found.n, EnumerationSpace(found.m, found.n).encode(found)) == expected
 
 
-def record_lanes(monkeypatch):
-    """Record in the returned set which search lanes run: "rows" for
-    the row lane, "sorted" for ``_candidates``."""
-    lanes = set()
-    combine, candidates = oracle._combine_lines, oracle._candidates
-
-    def rows(*args):
-        lanes.add("rows")
-        return combine(*args)
-
-    def sorted_lane(*args):
-        lanes.add("sorted")
-        return candidates(*args)
-
-    monkeypatch.setattr(oracle, "_combine_lines", rows)
-    monkeypatch.setattr(oracle, "_candidates", sorted_lane)
-    return lanes
+def assert_scan_witnesses(m, n, sets):
+    """Every admitted subset of {0..8} gets its first index in ``sets``
+    from the search of shape (m, n), or None where ``sets`` lacks it."""
+    for mask in range(1, 1 << 9):
+        values = oracle._values_of(mask)
+        if oracle._shape_admits(values, m, n):
+            expected = sets[values].index if values in sets else None
+            assert oracle._first_by_lines(m, n, mask) == expected, (m, n, values)
 
 
-def test_line_lanes_find_the_scan_witness(monkeypatch):
-    # every admitted subset of {0..8}: the same first index as the
-    # catalog's full scan, or None for a set the shape does not have,
-    # whether the row lane or the sorted lane searches
+def test_line_lanes_find_the_scan_witness():
+    # the catalog's first witnesses, whether the shape is built from its
+    # rows or its columns
     shapes = [(2, 4), (4, 2), (3, 3), (1, 7), (7, 1), (1, 1), (1, 6), (2, 3), (3, 2), (6, 1)]
-    catalogs = {(m, n): catalog_for_shape(m, n, pairs=False).sets for m, n in shapes}
-    lanes = record_lanes(monkeypatch)
-    for (m, n), sets in catalogs.items():
-        for mask in range(1, 1 << 9):
-            values = oracle._values_of(mask)
-            if oracle._shape_admits(values, m, n):
-                expected = sets[values].index if values in sets else None
-                assert oracle._first_by_lines(m, n, mask) == expected, (m, n, values)
-    assert lanes == {"rows", "sorted"}
+    for m, n in shapes:
+        assert_scan_witnesses(m, n, catalog_for_shape(m, n, pairs=False).sets)
 
 
-def test_long_columns_lanes_agree(monkeypatch):
-    # columns of 12 to 16 pairs exceed _LINE_MAX; for every subset of
-    # {0..4} the row lane and the sorted lane give the same first index
-    combine, candidates = oracle._combine_lines, oracle._candidates
-    lanes = record_lanes(monkeypatch)
+def test_long_columns_lanes_agree():
+    # for every subset of {0..4}, the first index of m x 1 is that of the
+    # test's own full scan at 12x1, and the catalog's at 13x1 to 16x1
     for m in range(12, 17):
+        sets = (full_scan if m == 12 else catalog_for_shape)(m, 1).sets
         for size in range(1, 6):
             for values in combinations(range(5), size):
                 target = oracle._mask_of(values)
-                rows = combine(m, 1, target, oracle._kept_lines(1, target))
-                hits = [i[oracle._set_masks(u, v) == target] for i, u, v in candidates(m, 1, target)]
-                least = min((int(h.min()) for h in hits if h.size), default=None)
-                assert rows == least == oracle._first_by_lines(m, 1, target), (m, values)
-    assert lanes == {"rows", "sorted"}
+                expected = sets[values].index if values in sets else None
+                assert oracle._first_by_lines(m, 1, target) == expected, (m, values)
 
 
 @pytest.mark.parametrize("m,n", [(2, 8), (8, 2), (3, 5), (5, 3)])
 def test_sorted_lane_finds_the_catalog_witness(m, n, monkeypatch):
     # sampled realized sets get the catalog's first witness, sampled
-    # admitted but unrealized ones None; the sorted lane searches some
-    # of them, and its answers do not depend on the block size
+    # admitted but unrealized ones None, and the answers do not depend
+    # on the block size
     sets = catalog_for_shape(m, n, pairs=False).sets
     realized = sorted(sets)[::12]
     admitted = [
@@ -433,6 +411,25 @@ def test_candidate_counts():
         assert doubly_sorted(digit_grids(index, m, n)).all(), (m, n)
 
 
+ROW_BUILT = [(m, n) for m in range(1, 17) for n in range(1, m + 1) if m * n <= 16]
+
+
+@pytest.mark.parametrize("m,n", ROW_BUILT)
+def test_row_built_candidates_ascend_in_index(m, n, monkeypatch):
+    # a row-built search stops at its first hit because candidates come
+    # in ascending index, within a block and from block to block
+    monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    index = all_candidates(m, n)[0]
+    assert np.all(index[1:] > index[:-1])
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (4, 2)])
+def test_row_built_search_in_small_blocks_finds_the_scan_witness(m, n, monkeypatch):
+    # blocks of 5 candidates: the first hit is still the full scan's witness
+    monkeypatch.setattr(oracle, "_BLOCK", 5 * (m + n))
+    assert_scan_witnesses(m, n, full_scan(m, n).sets)
+
+
 @functools.cache
 def candidate_set(m, n):
     return frozenset(all_candidates(m, n)[0].tolist())
@@ -456,9 +453,10 @@ def test_sorting_lines_reaches_a_candidate(shape, index):
 
 
 def test_search_blocks_keep_their_scores_within_the_block(monkeypatch):
-    # a 5x3 search of {0,1,2,3,4,8,9} scores 34,897 candidates in blocks
-    # whose int64 scores, m + n per candidate, take at most _BLOCK
-    # entries; catalogs keep blocks of _CHUNK
+    # a search of {0,1,2,3,4,8,9} scores candidates in blocks whose int64
+    # scores, m + n per candidate, take at most _BLOCK entries; catalogs
+    # keep blocks of _CHUNK.  Row-built 5x3 stops after the block of its
+    # first hit; column-built 3x5 scores every block
     values = (0, 1, 2, 3, 4, 8, 9)
     target = oracle._mask_of(values)
     blocks, candidates = [], oracle._candidates
@@ -469,12 +467,14 @@ def test_search_blocks_keep_their_scores_within_the_block(monkeypatch):
             yield block
 
     monkeypatch.setattr(oracle, "_candidates", recording)
-    witness = catalog_for_shape(5, 3, pairs=False).sets[values]
-    assert oracle._first_by_lines(5, 3, target) == witness.index
-    searched = [size for size, kept in blocks if kept == target]
-    assert sum(searched) == 34897 and len(searched) > 1
-    assert max(searched) * (5 + 3) <= oracle._BLOCK
-    assert max(size for size, kept in blocks if kept == -1) == oracle._CHUNK
+    for (m, n), count, split in (((5, 3), 8192, 2), ((3, 5), 33271, 9)):
+        blocks.clear()
+        witness = catalog_for_shape(m, n, pairs=False).sets[values]
+        assert oracle._first_by_lines(m, n, target) == witness.index
+        searched = [size for size, kept in blocks if kept == target]
+        assert (sum(searched), len(searched)) == (count, split), (m, n)
+        assert max(searched) * (m + n) <= oracle._BLOCK
+        assert max(size for size, kept in blocks if kept == -1) == oracle._CHUNK
 
 
 def test_line_tables_are_cached_and_read_only():
@@ -485,11 +485,13 @@ def test_line_tables_are_cached_and_read_only():
     for table in (scores, nets, *ties, *lines):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
-    # catalogs and searches share one table per line length
-    oracle._line_table.cache_clear()
+    # catalogs and searches share one table of each kind per line length
+    tables = (oracle._line_table, oracle._tie_table, oracle._shape_lines)
+    for table in tables:
+        table.cache_clear()
     values, witness = list(catalog_for_shape(3, 3).sets.items())[-1]
     assert oracle._first_by_lines(3, 3, oracle._mask_of(values)) == witness.index
-    assert oracle._line_table.cache_info().misses == 1
+    assert [table.cache_info().misses for table in tables] == [1, 1, 1]
 
 
 def test_bounded_search_never_scans(monkeypatch):
@@ -502,7 +504,7 @@ def test_bounded_search_never_scans(monkeypatch):
             yield block
 
     def short_lines_only(length):
-        assert length <= oracle._LINE_MAX, length
+        assert length <= 6, length
         return line_table(length)
 
     monkeypatch.setattr(oracle, "_candidates", counting)
