@@ -17,9 +17,9 @@ dense limit, whatever the output will be) and only then stores one
 before returning it: a block's score is its part offset plus the
 size-weighted sum of its row of states, so the audit costs
 O(m + n + block pairs).
-``Realization.graph`` builds a new dense graph on every access and
-scores it again against the layout, so no export reads a graph that was
-changed after it was built.
+``Realization.graph`` builds a new graph with ``from_states`` on every
+access and scores it again against the layout; no graph changes after
+it is built.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -127,11 +127,9 @@ class Realization:
     @property
     def graph(self) -> BipartiteOrientedGraph:
         """A new dense graph, built on each access and re-scored against the layout."""
-        g = BipartiteOrientedGraph(self.m, self.n)
-        dense = np.frombuffer(g._arcs, dtype=np.uint8).reshape(self.m, self.n)
         v_size = [b.size for b in self.v_blocks]
-        for blk, row in zip(self.u_blocks, self._grid()):  # one row per U block
-            dense[blk.start : blk.stop] = np.repeat(row, v_size)
+        rows = np.repeat(self._grid(), [b.size for b in self.u_blocks], axis=0)  # one per U vertex
+        g = BipartiteOrientedGraph.from_states(np.repeat(rows, v_size, axis=1))
         if g.scores() != self.scores():
             raise RealizationError("the dense graph does not score as its layout")
         return g

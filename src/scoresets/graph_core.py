@@ -135,61 +135,62 @@ _BAND = 1 << 17
 
 
 def _require_dense(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError(f"both parts must be nonempty, got m={m}, n={n}")
     if m * n > _MAX_PAIRS:
         raise ValueError(f"graph of {m}x{n} has {m * n} pairs, above the dense limit of 2**28")
 
 
 class BipartiteOrientedGraph:
-    """Arc-state matrix over parts U (size m) and V (size n).
+    """Arc-state matrix over parts U (size m) and V (size n), a value.
 
-    States are stored row-major: pair (u, v) lives at offset u * n + v.
-    Writers mutate a graph they own via set_arc (or, within the package,
-    the buffer); every read operation treats the value as immutable.
+    ``from_states`` copies an (m, n) ArcState matrix in, ``states`` reads
+    it out, and ``BipartiteOrientedGraph(m, n)`` has no arcs.  The states
+    sit row-major in immutable bytes: no graph changes after it is built.
     """
 
     __slots__ = ("m", "n", "_arcs")
 
     def __init__(self, m: int, n: int) -> None:
-        if m < 1 or n < 1:
-            raise ValueError(f"both parts must be nonempty, got m={m}, n={n}")
         _require_dense(m, n)
         self.m = m
         self.n = n
-        self._arcs = bytearray(m * n)
+        self._arcs = bytes(m * n)
 
-    def _check_u(self, u: int) -> None:
-        if not 0 <= u < self.m:
-            raise IndexError(f"u index {u} out of range [0, {self.m})")
+    @classmethod
+    def from_states(cls, states: np.ndarray) -> "BipartiteOrientedGraph":
+        """The graph whose pair (u, v) is in state ``states[u, v]``, from an
+        (m, n) integer array; raises ValueError, before copying anything,
+        on any other shape or type, a value outside 0..2, an empty part or
+        more pairs than the dense limit."""
+        states = np.asarray(states)
+        if states.ndim != 2 or states.dtype.kind not in "iu":
+            raise ValueError(f"states need a 2-D integer array, got {states.ndim}-D {states.dtype}")
+        m, n = states.shape
+        _require_dense(m, n)
+        if states.dtype.kind == "i":  # read as unsigned, a negative value is huge
+            states = states.view(states.dtype.str.replace("i", "u"))
+        if states.max() > 2:  # one pass over the values
+            raise ValueError("states must be ArcState values 0, 1 or 2")
+        graph = cls.__new__(cls)
+        graph.m, graph.n, graph._arcs = m, n, states.astype(np.uint8, copy=False).tobytes()
+        return graph
 
-    def _check_v(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise IndexError(f"v index {v} out of range [0, {self.n})")
+    @property
+    def states(self) -> np.ndarray:
+        """The (m, n) uint8 ArcState matrix, a read-only view."""
+        return np.frombuffer(self._arcs, dtype=np.uint8).reshape(self.m, self.n)
 
     def arc(self, u: int, v: int) -> ArcState:
-        self._check_u(u)
-        self._check_v(v)
+        # the one per-pair read, kept for perfbench/tracer.py's _assignment_index
+        if not (0 <= u < self.m and 0 <= v < self.n):
+            raise IndexError(f"pair ({u}, {v}) out of range for a {self.m}x{self.n} graph")
         return ArcState(self._arcs[u * self.n + v])
-
-    def set_arc(self, u: int, v: int, state: ArcState) -> None:
-        """Assign the (u, v) pair, overwriting any previous state."""
-        self._check_u(u)
-        self._check_v(v)
-        self._arcs[u * self.n + v] = int(state)
-
-    def score_u(self, u: int) -> int:
-        self._check_u(u)
-        row = self._arcs[u * self.n : (u + 1) * self.n]
-        return self.n + row.count(1) - row.count(2)
-
-    def score_v(self, v: int) -> int:
-        self._check_v(v)
-        col = self._arcs[v :: self.n]
-        return self.m + col.count(2) - col.count(1)
 
     def scores(self) -> tuple[list[int], list[int]]:
         """U-scores and V-scores, each in vertex order."""
         m, n = self.m, self.n
-        net = _NET[np.frombuffer(self._arcs, dtype=np.uint8).reshape(m, n)]
+        net = _NET[self.states]
         return (
             (n + net.sum(axis=1, dtype=np.int64)).tolist(),
             (m - net.sum(axis=0, dtype=np.int64)).tolist(),
@@ -206,7 +207,7 @@ class BipartiteOrientedGraph:
     def _arc_rows(self, formats: tuple, sep: str) -> list[str]:
         """The ``sep``-joined arc texts of each row that has arcs: each distinct
         row is formatted once per call from ``formats``, then its u filled in."""
-        n, data = self.n, bytes(self._arcs)
+        n, data = self.n, self._arcs
         templates: dict[bytes, str] = {}
         texts = []
         for u in range(self.m):
@@ -278,14 +279,13 @@ class BipartiteOrientedGraph:
             if arcs is None:
                 return None
             bands.append(arcs)
-        graph = cls(m, n)
-        cells = np.frombuffer(graph._arcs, dtype=np.uint8)
+        cells = np.zeros(m * n, dtype=np.uint8)
         for pos, states in bands:
             cells[pos] = states
         # a pair listed twice leaves fewer set cells than arcs
         if np.count_nonzero(cells) != sum(pos.size for pos, _ in bands):
             return None
-        return graph
+        return cls.from_states(cells.reshape(m, n))
 
     @classmethod
     def _from_doc(cls, text: str) -> "BipartiteOrientedGraph":
@@ -300,11 +300,11 @@ class BipartiteOrientedGraph:
         n = doc.get("n")
         if type(m) is not int or type(n) is not int:
             raise ValueError("fields 'm' and 'n' must be integers")
-        g = cls(m, n)
+        _require_dense(m, n)
         entries = doc.get("arcs")
         if not isinstance(entries, list):
             raise ValueError("field 'arcs' must be a list")
-        buf = g._arcs  # a nonzero byte marks a pair already listed
+        buf = bytearray(m * n)  # a nonzero byte marks a pair already listed
         for entry in entries:
             if type(entry) is not dict:
                 raise ValueError(f"arc entry must be an object: {entry!r}")
@@ -321,7 +321,7 @@ class BipartiteOrientedGraph:
             if state is None:
                 raise ValueError(f"arc dir must be 'uv' or 'vu': {entry!r}")
             buf[pos] = state
-        return g
+        return cls.from_states(np.frombuffer(buf, dtype=np.uint8).reshape(m, n))
 
     def to_dot(self, *, blocks: tuple[Sequence[Block], Sequence[Block]] | None = None) -> str:
         """Graphviz rendering with clusters for the two parts; nodes of

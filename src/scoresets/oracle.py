@@ -120,18 +120,18 @@ class EnumerationSpace:
     def decode(self, index: int) -> BipartiteOrientedGraph:
         if not 0 <= index < self.total:
             raise ValueError(f"index {index} outside [0, {self.total})")
-        graph = BipartiteOrientedGraph(self.m, self.n)
-        buf, rem = graph._arcs, index
-        for pos in range(len(buf)):
-            rem, buf[pos] = divmod(rem, 3)
-        return graph
+        digits, rem = bytearray(self.m * self.n), index
+        for pos in range(len(digits)):
+            rem, digits[pos] = divmod(rem, 3)
+        states = np.frombuffer(digits, dtype=np.uint8).reshape(self.m, self.n)
+        return BipartiteOrientedGraph.from_states(states)
 
     def encode(self, graph: BipartiteOrientedGraph) -> int:
         if (graph.m, graph.n) != (self.m, self.n):
             raise ValueError("graph shape does not match this space")
-        # the row-major arc buffer holds the base-3 digits, least significant first
+        # the row-major states are the base-3 digits, least significant first
         index = 0
-        for state in reversed(graph._arcs):
+        for state in reversed(graph.states.tobytes()):
             index = index * 3 + state
         return index
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import per_vertex_scores
 from scoresets.constructions import (
     Family,
     RealizationError,
@@ -30,8 +31,7 @@ def test_singleton_even():
     assert (g.m, g.n) == (4, 4)
     assert block_sizes(r.u_blocks) == {"X1": 2, "X2": 2}
     assert g.score_set() == ScoreSet((4,))
-    assert all(g.score_u(u) == 4 for u in range(4))
-    assert all(g.score_v(v) == 4 for v in range(4))
+    assert per_vertex_scores(g) == ([4] * 4, [4] * 4)
     r.verify()
 
 
@@ -49,8 +49,7 @@ def test_singleton_odd():
     r = build(Family("Singleton", (3,)))
     g = r.graph
     assert (g.m, g.n) == (3, 3)
-    scores = [g.score_u(u) for u in range(3)] + [g.score_v(v) for v in range(3)]
-    assert scores == [3] * 6
+    assert per_vertex_scores(g) == ([3] * 3, [3] * 3)
     r.verify()
 
 
@@ -224,8 +223,8 @@ def test_arithmetic_wide():
     g = r.graph
     assert (g.m, g.n) == (3, 3)
     assert g.score_set() == ScoreSet((1, 3, 5))
-    scores = sorted([g.score_u(u) for u in range(3)] + [g.score_v(v) for v in range(3)])
-    assert scores == [1, 1, 3, 3, 5, 5]
+    u_scores, v_scores = per_vertex_scores(g)
+    assert sorted(u_scores + v_scores) == [1, 1, 3, 3, 5, 5]
     r.verify()
 
 
@@ -442,20 +441,23 @@ def test_ladder_layout_memory_grows_with_blocks_not_pairs():
 
 def test_export_cannot_drift_from_its_layout():
     r = realize(ScoreSet((1, 2, 5)))
-    r.graph.set_arc(0, 0, ArcState.V_TO_U)  # changes only the graph this access built
-    assert BipartiteOrientedGraph.from_json(r.to_json()).score_set() == r.requested
+    g = r.graph
+    with pytest.raises(ValueError):  # a graph never changes after it is built
+        g.states[0, 0] = ArcState.V_TO_U
+    assert r.graph == g and r.graph is not g  # each access builds its own graph
+    assert BipartiteOrientedGraph.from_json(r.to_json()) == g
     assert r.to_dot() == realize(ScoreSet((1, 2, 5))).to_dot()
 
 
 def test_graph_catches_a_fill_that_disagrees_with_the_layout(monkeypatch):
-    import scoresets.constructions as constructions
+    from_states = BipartiteOrientedGraph.from_states
 
-    class Corrupted(BipartiteOrientedGraph):
-        def scores(self):  # called on the filled graph, before it is returned
-            self.set_arc(0, 0, ArcState.ABSENT)
-            return super().scores()
+    def flipped(cls, states):  # the layout's matrix with pair (0, 0) flipped
+        states = states.copy()
+        states[0, 0] = ArcState.V_TO_U if states[0, 0] == ArcState.U_TO_V else ArcState.U_TO_V
+        return from_states(states)
 
-    monkeypatch.setattr(constructions, "BipartiteOrientedGraph", Corrupted)
+    monkeypatch.setattr(BipartiteOrientedGraph, "from_states", classmethod(flipped))
     r = build(Family("Singleton", (2,)))
     r.verify()  # the layout itself is sound
     with pytest.raises(RealizationError):
@@ -545,8 +547,7 @@ def test_layout_scores_equal_dense_scores(values):
     # {1..12} has blocks of size 1
     r = realize(ScoreSet(values))
     g = r.graph
-    per_vertex = ([g.score_u(u) for u in range(g.m)], [g.score_v(v) for v in range(g.n)])
-    assert r.scores() == g.scores() == per_vertex
+    assert r.scores() == g.scores() == per_vertex_scores(g)
     assert (r.m, r.n) == (g.m, g.n)
 
 

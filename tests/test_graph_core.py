@@ -3,10 +3,11 @@ import re
 import warnings
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import graphs
+from conftest import graphs, per_vertex_scores
 from scoresets import graph_core
 from scoresets.graph_core import (
     ArcState,
@@ -23,7 +24,7 @@ def test_new_graph_is_all_absent():
     g = BipartiteOrientedGraph(2, 3)
     assert all(g.arc(u, v) is ArcState.ABSENT for u in range(2) for v in range(3))
     assert (g.m, g.n) == (2, 3)
-    with pytest.raises(TypeError):  # a mutable value: __eq__ without __hash__
+    with pytest.raises(TypeError):  # compared by value, left unhashable: __eq__ without __hash__
         hash(BipartiteOrientedGraph(1, 1))
 
 
@@ -33,51 +34,74 @@ def test_new_graph_rejects_empty_parts(m, n):
         BipartiteOrientedGraph(m, n)
 
 
-def test_set_arc_write_read():
-    g = BipartiteOrientedGraph(1, 1)
-    g.set_arc(0, 0, ArcState.U_TO_V)
+def test_from_states_write_read():
+    g = BipartiteOrientedGraph.from_states(np.array([[ArcState.U_TO_V]]))
     assert g.arc(0, 0) is ArcState.U_TO_V
-
-
-def test_set_arc_overwrites():
-    g = BipartiteOrientedGraph(1, 1)
-    g.set_arc(0, 0, ArcState.U_TO_V)
-    g.set_arc(0, 0, ArcState.V_TO_U)
-    assert g.arc(0, 0) is ArcState.V_TO_U
-    g = BipartiteOrientedGraph(2, 3)
-    g.set_arc(0, 1, ArcState.U_TO_V)
-    g.set_arc(1, 2, ArcState.V_TO_U)
-    g.set_arc(1, 0, ArcState.U_TO_V)
-    g.set_arc(1, 0, ArcState.ABSENT)
+    g = BipartiteOrientedGraph.from_states(np.array([[0, 1, 0], [0, 0, 2]], dtype=np.int8))
+    assert [g.arc(0, 1), g.arc(1, 2), g.arc(1, 0)] == [ArcState.U_TO_V, ArcState.V_TO_U, ArcState.ABSENT]
+    assert g.states.dtype == np.uint8 and g.states.tolist() == [[0, 1, 0], [0, 0, 2]]
     assert repr(g) == "BipartiteOrientedGraph(m=2, n=3, arcs=2)"
 
 
-def test_set_arc_bounds():
+def test_from_states_copies_its_input():
+    states = np.zeros((2, 2), dtype=np.uint8)
+    g = BipartiteOrientedGraph.from_states(states)
+    states[0, 0] = ArcState.U_TO_V
+    assert g == BipartiteOrientedGraph(2, 2)
+
+
+def test_arc_bounds():
     g = BipartiteOrientedGraph(1, 1)
-    with pytest.raises(IndexError):
-        g.set_arc(0, 1, ArcState.U_TO_V)
-    with pytest.raises(IndexError):
-        g.set_arc(1, 0, ArcState.U_TO_V)
-    with pytest.raises(IndexError):
-        g.score_u(1)
-    with pytest.raises(IndexError):
-        g.score_v(-2)
+    for u, v in [(0, 1), (1, 0), (-1, 0), (0, -2)]:
+        with pytest.raises(IndexError):
+            g.arc(u, v)
+
+
+@pytest.mark.parametrize(
+    "states",
+    [
+        np.zeros(3, dtype=np.int64),  # 1-D
+        np.zeros((2, 2, 2), dtype=np.int64),  # 3-D
+        np.zeros((2, 2)),  # float
+        np.zeros((2, 2), dtype=bool),
+        np.array([[0, 3]], dtype=np.uint8),
+        np.array([[0, -1]], dtype=np.int8),
+        np.array([[2, -1]], dtype=np.int64),
+        np.zeros((0, 3), dtype=np.uint8),  # an empty part
+        np.zeros((3, 0), dtype=np.uint8),
+        # 2**29 pairs without allocating them: the limit is checked before any copy
+        np.broadcast_to(np.uint8(0), (2**15, 2**14)),
+    ],
+)
+def test_from_states_rejects(states):
+    with pytest.raises(ValueError):
+        BipartiteOrientedGraph.from_states(states)
+
+
+def test_states_are_read_only():
+    g = BipartiteOrientedGraph.from_states(np.array([[2, 0]]))
+    with pytest.raises(ValueError):
+        g.states[0, 0] = 1
+    with pytest.raises(ValueError):
+        g.states.setflags(write=True)
+    assert g.states.tolist() == [[2, 0]]
+    assert g == BipartiteOrientedGraph.from_states(np.array([[2, 0]]))
+
+
+@given(graphs())
+def test_from_states_of_states_is_the_graph(g):
+    assert BipartiteOrientedGraph.from_states(g.states) == g
 
 
 def test_scores_on_single_pair():
-    g = BipartiteOrientedGraph(1, 1)
-    g.set_arc(0, 0, ArcState.U_TO_V)
-    assert g.score_u(0) == 2
-    assert g.score_v(0) == 0
-    g.set_arc(0, 0, ArcState.V_TO_U)
-    assert g.score_u(0) == 0
-    assert g.score_v(0) == 2
+    g = BipartiteOrientedGraph.from_states(np.array([[ArcState.U_TO_V]]))
+    assert g.scores() == ([2], [0])
+    g = BipartiteOrientedGraph.from_states(np.array([[ArcState.V_TO_U]]))
+    assert g.scores() == ([0], [2])
 
 
 def test_scores_on_empty_graph():
-    g = BipartiteOrientedGraph(2, 2)
-    assert [g.score_u(u) for u in range(2)] == [2, 2]
-    assert [g.score_v(v) for v in range(2)] == [2, 2]
+    assert BipartiteOrientedGraph(2, 2).scores() == ([2, 2], [2, 2])
 
 
 @pytest.mark.parametrize(
@@ -85,17 +109,13 @@ def test_scores_on_empty_graph():
 )
 def test_scores_of_complete_300x300(state, u_score, v_score):
     # 300 arcs per vertex overflow an 8-bit accumulator
-    g = BipartiteOrientedGraph(300, 300)
-    for u in range(300):
-        for v in range(300):
-            g.set_arc(u, v, state)
+    g = BipartiteOrientedGraph.from_states(np.full((300, 300), state, dtype=np.uint8))
     assert g.scores() == ([u_score] * 300, [v_score] * 300)
 
 
 def test_score_sequences_trivial():
-    g = BipartiteOrientedGraph(1, 1)
-    assert g.score_sequences() == ScoreSequencePair((1,), (1,))
-    g.set_arc(0, 0, ArcState.U_TO_V)
+    assert BipartiteOrientedGraph(1, 1).score_sequences() == ScoreSequencePair((1,), (1,))
+    g = BipartiteOrientedGraph.from_states(np.array([[ArcState.U_TO_V]]))
     assert g.score_sequences() == ScoreSequencePair((2,), (0,))
 
 
@@ -346,11 +366,7 @@ def block_lists(draw, size, prefix):
 
 
 def graph_of(rows):
-    g = BipartiteOrientedGraph(len(rows), len(rows[0]))
-    for u, row in enumerate(rows):
-        for v, state in enumerate(row):
-            g.set_arc(u, v, ArcState(state))
-    return g
+    return BipartiteOrientedGraph.from_states(np.array(rows, dtype=np.uint8))
 
 
 @st.composite
@@ -414,8 +430,7 @@ def test_json_blocks_follow_schema():
 
 
 def test_dot_single_edge():
-    g = BipartiteOrientedGraph(1, 1)
-    g.set_arc(0, 0, ArcState.U_TO_V)
+    g = BipartiteOrientedGraph.from_states(np.array([[ArcState.U_TO_V]]))
     text = g.to_dot()
     assert text.count("u0 -> v0;") == 1
     assert "v0 -> u0" not in text
@@ -430,9 +445,7 @@ def test_dot_empty_graph_has_nodes_no_edges():
 
 
 def test_dot_is_deterministic():
-    g = BipartiteOrientedGraph(3, 2)
-    g.set_arc(2, 1, ArcState.V_TO_U)
-    g.set_arc(0, 0, ArcState.U_TO_V)
+    g = BipartiteOrientedGraph.from_states(np.array([[1, 0], [0, 0], [0, 2]]))
     assert g.to_dot() == g.to_dot()
 
 
@@ -479,32 +492,17 @@ def test_negative_entry_is_reported_before_order(seq):
 
 @given(graphs())
 def test_score_bounds(g):
-    for u in range(g.m):
-        assert 0 <= g.score_u(u) <= 2 * g.n
-    for v in range(g.n):
-        assert 0 <= g.score_v(v) <= 2 * g.m
+    u_scores, v_scores = g.scores()
+    assert all(0 <= score <= 2 * g.n for score in u_scores)
+    assert all(0 <= score <= 2 * g.m for score in v_scores)
 
 
 @given(graphs())
 def test_scores_match_per_vertex_scores(g):
-    u_scores, v_scores = g.scores()
-    assert u_scores == [g.score_u(u) for u in range(g.m)]
-    assert v_scores == [g.score_v(v) for v in range(g.n)]
+    assert g.scores() == per_vertex_scores(g)
 
 
 @given(graphs())
 def test_handshake_identity(g):
-    total = sum(g.score_u(u) for u in range(g.m)) + sum(g.score_v(v) for v in range(g.n))
-    assert total == 2 * g.m * g.n
-
-
-@given(graphs())
-def test_sequences_respect_caps(g):
-    pair = g.score_sequences()
-    assert all(0 <= x <= 2 * g.n for x in pair.a)
-    assert all(0 <= x <= 2 * g.m for x in pair.b)
-
-
-@given(graphs())
-def test_json_round_trip_identity(g):
-    assert BipartiteOrientedGraph.from_json(g.to_json()) == g
+    u_scores, v_scores = per_vertex_scores(g)
+    assert sum(u_scores) + sum(v_scores) == 2 * g.m * g.n

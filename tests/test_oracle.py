@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import scoresets.oracle as oracle
 
-from conftest import graphs
+from conftest import graphs, per_vertex_scores
 from scoresets.graph_core import ArcState, BipartiteOrientedGraph, ScoreSet
 from scoresets.oracle import (
     BudgetExceededError,
@@ -62,10 +62,20 @@ def full_scan(m, n):
     return catalog
 
 
-def test_decode_encode_round_trip_exhaustive():
-    space = EnumerationSpace(2, 2)
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 8])
+def test_decode_encode_round_trip_exhaustive(m, n):
+    space = EnumerationSpace(m, n)
     for index in range(space.total):
         assert space.encode(space.decode(index)) == index
+
+
+@pytest.mark.parametrize("m,n,index", [(3, 13, 0), (3, 13, 3**39 - 1), (1, 31, 3**31 - 1)])
+def test_decode_encode_round_trip_at_int64_extremes(m, n, index):
+    space = EnumerationSpace(m, n)
+    g = space.decode(index)
+    assert space.encode(g) == index
+    # the last index has every pair at digit 2, the first every pair absent
+    assert np.all(g.states == (0 if index == 0 else ArcState.V_TO_U))
 
 
 @given(graphs(max_m=3, max_n=3))
@@ -397,8 +407,7 @@ def test_candidates_are_exactly_the_doubly_sorted_assignments(m, n):
     found, u_scores, v_scores = all_candidates(m, n)
     assert np.array_equal(np.sort(found), expected)  # each once
     for i, u, v in zip(found.tolist(), u_scores.tolist(), v_scores.tolist()):
-        graph = EnumerationSpace(m, n).decode(i)
-        assert u == [graph.score_u(k) for k in range(m)] and v == [graph.score_v(k) for k in range(n)]
+        assert (u, v) == per_vertex_scores(EnumerationSpace(m, n).decode(i))
 
 
 def test_candidate_counts():
@@ -707,14 +716,13 @@ def test_shapes_beyond_int64_rejected_before_any_allocation(m, n, monkeypatch):
 
 
 def test_score_bound_saturation_1x1():
-    assert {g.score_u(0) for g in every_graph(1, 1)} == {0, 1, 2}
+    assert {per_vertex_scores(g)[0][0] for g in every_graph(1, 1)} == {0, 1, 2}
 
 
 def test_handshake_on_enumerated_graphs():
     for g in every_graph(2, 2):
-        total = sum(g.score_u(u) for u in range(g.m))
-        total += sum(g.score_v(v) for v in range(g.n))
-        assert total == 2 * g.m * g.n
+        u_scores, v_scores = per_vertex_scores(g)
+        assert sum(u_scores) + sum(v_scores) == 2 * g.m * g.n
 
 
 def test_jsonl_round_trip_and_ordering():
