@@ -506,3 +506,15 @@ def test_scores_match_per_vertex_scores(g):
 def test_handshake_identity(g):
     u_scores, v_scores = per_vertex_scores(g)
     assert sum(u_scores) + sum(v_scores) == 2 * g.m * g.n
+
+
+@given(graphs())
+def test_sequences_respect_caps(g):
+    pair = g.score_sequences()
+    assert all(0 <= x <= 2 * g.n for x in pair.a)
+    assert all(0 <= x <= 2 * g.m for x in pair.b)
+
+
+@given(graphs())
+def test_json_round_trip_identity(g):
+    assert BipartiteOrientedGraph.from_json(g.to_json()) == g
