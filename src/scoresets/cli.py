@@ -144,14 +144,14 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _parse_score_set(text: str, flag: str = "--set") -> ScoreSet:
     values = _parse_int_list(text, flag)
-    canonical = sorted(set(values))
-    if canonical != values:
+    score_set = ScoreSet.from_values(values)
+    if list(score_set) != values:
         print(
             f"warning: {flag} values reordered and deduplicated to "
-            f"{','.join(map(str, canonical))}",
+            f"{','.join(map(str, score_set))}",
             file=sys.stderr,
         )
-    return ScoreSet(tuple(canonical))
+    return score_set
 
 
 def _write(text: str, out: str | None) -> None:

@@ -92,10 +92,9 @@ class ScoreSet:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("score set is empty")
-        if any(x < 0 for x in self.values):
-            raise ValueError(f"score set has a negative entry: {self.values}")
-        if any(self.values[i] >= self.values[i + 1] for i in range(len(self.values) - 1)):
-            raise ValueError(f"score set values must be strictly increasing: {self.values}")
+        _validate_sequence(self.values, "values")
+        if len(set(self.values)) < len(self.values):
+            raise ValueError(f"score set has a repeated value: {self.values}")
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "ScoreSet":

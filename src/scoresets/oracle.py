@@ -4,7 +4,9 @@ Arc assignments of shape (m, n) are numbered 0 .. 3**(m*n) - 1.  The
 state of pair (u, v) is the base-3 digit at position u * n + v, with
 pair (0, 0) least significant; digit values follow ArcState (0 absent,
 1 u->v, 2 v->u).  The numbering is part of the catalog file contract,
-so witnesses stay portable.
+so witnesses stay portable.  ``_POWERS`` and ``_digits`` alone implement
+it; the oracle's range keeps m * n <= 39, so every index is below
+3**39 < 2**63 and fits an int64.
 
 The scores of every graph of shape (m, n) sum to 2mn: each U vertex
 starts at n, each V vertex at m, and every arc adds 1 to its tail and
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
@@ -83,11 +86,22 @@ class BudgetExceededError(RuntimeError):
     """The enumeration space exceeds the configured budget."""
 
 
+# _BIT[s] is the set-mask bit of score s
+_BIT = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
+# _POWERS[k] is the weight of base-3 digit k of an assignment index
+_POWERS = 3 ** np.arange(39, dtype=np.int64)
+
+
+def _digits(index, count: int) -> np.ndarray:
+    """Base-3 digits 0 .. count - 1 of each index, on a new last axis."""
+    return np.asarray(index, dtype=np.int64)[..., None] // _POWERS[:count] % 3
+
+
 def _require_range(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise ValueError(f"shape ({m}, {n}) has an empty part; both parts need a vertex")
-    # scores index bits of int64 set masks, and assignment indices are int64
-    if 2 * max(m, n) > 62 or m * n >= 40:
+    # every score indexes _BIT, and every digit of an index _POWERS
+    if 2 * max(m, n) >= _BIT.size or m * n > _POWERS.size:
         raise ValueError(
             f"shape ({m}, {n}) is out of the oracle's range: scores above 62 "
             "overflow its int64 set masks and m*n >= 40 its int64 indices"
@@ -118,26 +132,17 @@ class EnumerationSpace:
         return 3 ** (self.m * self.n)
 
     def decode(self, index: int) -> BipartiteOrientedGraph:
+        index = operator.index(index)
         if not 0 <= index < self.total:
             raise ValueError(f"index {index} outside [0, {self.total})")
-        digits, rem = bytearray(self.m * self.n), index
-        for pos in range(len(digits)):
-            rem, digits[pos] = divmod(rem, 3)
-        states = np.frombuffer(digits, dtype=np.uint8).reshape(self.m, self.n)
+        states = _digits(index, self.m * self.n).reshape(self.m, self.n)
         return BipartiteOrientedGraph.from_states(states)
 
     def encode(self, graph: BipartiteOrientedGraph) -> int:
         if (graph.m, graph.n) != (self.m, self.n):
             raise ValueError("graph shape does not match this space")
         # the row-major states are the base-3 digits, least significant first
-        index = 0
-        for state in reversed(graph.states.tobytes()):
-            index = index * 3 + state
-        return index
-
-
-# _BIT[s] is the set-mask bit of score s
-_BIT = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
+        return int(graph.states.ravel() @ _POWERS[: self.m * self.n])
 
 
 @functools.cache
@@ -147,11 +152,7 @@ def _line_table(length: int) -> tuple[np.ndarray, np.ndarray]:
     score, and per pair +1 (u->v), -1 (v->u) or 0 (absent), which the
     pair takes from its V score.  Both arrays are shared by every later
     call, so they are read-only."""
-    states = np.arange(3**length, dtype=np.int64)
-    nets = np.empty((states.size, length), dtype=np.int8)
-    for v in range(length):
-        states, digit = np.divmod(states, 3)
-        nets[:, v] = _NET[digit]
+    nets = _NET[_digits(np.arange(3**length), length)]
     scores = length + nets.sum(axis=1, dtype=np.int64)
     for table in (scores, nets):
         table.setflags(write=False)
@@ -285,7 +286,7 @@ def _tie_table(length: int) -> tuple[np.ndarray, ...]:
     s, digit k the state of its pair with cross line k, is allowed[t, s]
     if its digits do not rise inside a run of tied cross lines, and it
     leaves the pattern after[t, s]."""
-    digits = _line_table(length)[1] % 3
+    digits = _digits(np.arange(3**length), length)
     bits = 1 << np.arange(length - 1)
     rises = (digits[:, :-1] < digits[:, 1:]) @ bits
     falls = (digits[:, :-1] > digits[:, 1:]) @ bits
@@ -345,17 +346,19 @@ def _shape_lines(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     minus their nets, the count added by line 0)."""
     count, length = max(m, n), min(m, n)
     scores, nets = _line_table(length)
+    # row u weighs 3**(n*u) in the index, column v 3**v
+    row_powers = _POWERS[: n * m : n]
     if n <= m:
-        # row state r adds r * 3**(n*u)
-        codes, scale = np.arange(scores.size, dtype=np.int64), 3**n
+        codes, scale = np.arange(scores.size), row_powers
     else:
-        # column state c, digit u the state of pair (u, v), adds code * 3**v;
-        # swapping its 1s and 2s gives the state with its own score and nets
-        swap = (-nets % 3) @ 3 ** np.arange(m, dtype=np.int64)
-        codes, scale = (nets % 3) @ 3 ** (n * np.arange(m, dtype=np.int64)), 3
+        # column state c, digit u the state of pair (u, v), has code digits @
+        # row_powers; its own score and nets are those of the state with 1s and 2s swapped
+        digits = _digits(np.arange(scores.size), m)
+        swap = (-digits % 3) @ _POWERS[:m]
+        codes, scale = digits @ row_powers, _POWERS[:n]
         scores, nets = scores[swap], nets[swap]
     weights = np.empty((count, scores.size, length + 1), dtype=np.int64)
-    weights[..., 0] = codes * scale ** np.arange(count, dtype=np.int64)[:, None]
+    weights[..., 0] = scale[:, None] * codes
     weights[..., 1:] = -nets
     weights[0, :, 1:] += count
     for table in (scores, weights):
@@ -409,6 +412,7 @@ def catalog_for_shape(
     if not (sets or pairs):
         raise ValueError("a catalog needs sets=True or pairs=True")
     _require_budget(m, n, budget)
+    # pair keys: sorted U scores in [0, 2n], then sorted V scores in [0, 2m]
     radices = [2 * n + 1] * m + [2 * m + 1] * n
     set_keys = pair_keys = None
     for index, u_scores, v_scores in _candidates(m, n):
@@ -416,10 +420,7 @@ def catalog_for_shape(
             set_keys = _least_per_key(_set_masks(u_scores, v_scores), index, set_keys)
         if pairs:
             rows = np.concatenate([np.sort(u_scores, axis=1), np.sort(v_scores, axis=1)], axis=1)
-            # Horner's rule over scores in [0, 2n] then [0, 2m]
-            codes = np.zeros(index.size, dtype=np.int64)
-            for col, radix in zip(rows.T, radices):
-                codes = codes * radix + col
+            codes = np.ravel_multi_index(rows.T, radices)
             pair_keys = _least_per_key(codes, index, pair_keys)
     catalog = RealizabilityCatalog()
     if sets:
@@ -430,9 +431,7 @@ def catalog_for_shape(
     if pairs:
         codes, first = pair_keys
         order = np.argsort(first)
-        codes, rows = codes[order], np.empty((order.size, m + n), dtype=np.int64)
-        for col in reversed(range(m + n)):
-            codes, rows[:, col] = np.divmod(codes, radices[col])
+        rows = np.stack(np.unravel_index(codes[order], radices), axis=1)
         for row, least in zip(rows.tolist(), first[order].tolist()):
             catalog.pairs[(tuple(row[:m]), tuple(row[m:]))] = Witness(m, n, least)
     return catalog

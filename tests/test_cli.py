@@ -136,6 +136,12 @@ def test_realize_unsorted_set_warns_but_succeeds(capsys):
     assert "{1,2,5}" in out
 
 
+def test_realize_negative_set_exits_1(capsys):
+    code, out, err = run(capsys, "realize", "--set", "3,-1,3")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: sequence 'values' has a negative entry: (-1, 3)"
+
+
 def test_check_pair_invalid(capsys):
     code, out, _ = run(capsys, "check-pair", "--a", "0", "--b", "0")
     assert code == 0

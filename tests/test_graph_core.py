@@ -469,6 +469,17 @@ def test_score_set_validation():
     assert 2 in ScoreSet((1, 2)) and 5 not in ScoreSet((1, 2))
 
 
+def test_score_set_shares_the_sequence_checks():
+    # a score set is a sequence without repeats: signs and order are
+    # checked as for a sequence pair's sides
+    with pytest.raises(ValueError, match="^sequence 'values' has a negative entry: \\(-1, 3\\)$"):
+        ScoreSet((-1, 3))
+    with pytest.raises(ValueError, match="^sequence 'values' is not nondecreasing: \\(2, 1\\)$"):
+        ScoreSet((2, 1))
+    with pytest.raises(ValueError, match="^score set has a repeated value: \\(1, 1\\)$"):
+        ScoreSet((1, 1))
+
+
 def test_score_sequence_pair_validation():
     with pytest.raises(ValueError):
         ScoreSequencePair((2, 1), (0,))

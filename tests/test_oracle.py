@@ -102,6 +102,38 @@ def test_decode_rejects_out_of_range():
         space.decode(-1)
 
 
+def test_decode_takes_only_integer_indices():
+    space = EnumerationSpace(2, 2)
+    with pytest.raises(TypeError):
+        space.decode(2.5)
+    assert space.decode(np.int64(54)) == space.decode(54)
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_line_table_scores_each_state_as_its_graph(length):
+    scores, nets = oracle._line_table(length)
+    assert scores.shape == (3**length,) and nets.shape == (3**length, length)
+    for state in range(3**length):
+        digits, rem = [], state
+        for _ in range(length):
+            rem, digit = divmod(rem, 3)
+            digits.append(digit)
+        u_scores, v_scores = BipartiteOrientedGraph.from_states(np.array([digits])).scores()
+        # each V vertex of a 1 x length graph starts at 1 and gives up its pair's net
+        assert scores[state] == u_scores[0]
+        assert nets[state].tolist() == [1 - score for score in v_scores]
+
+
+@pytest.mark.parametrize("m,n", [(31, 1), (1, 31)])
+def test_pair_keys_of_the_largest_key_spaces(m, n):
+    # 63 * 3**31 pair keys, the most of any shape in the oracle's range
+    pairs = catalog_for_shape(m, n, budget=3**31, sets=False).pairs
+    assert len(pairs) == 528
+    for (a, b), witness in pairs.items():
+        pair = witness.graph().score_sequences()
+        assert (pair.a, pair.b) == (a, b)
+
+
 def test_catalog_1x1_exact():
     catalog = realizable_sets_up_to(1, 1)
     assert sorted(catalog.sets) == [(0, 2), (1,)]
