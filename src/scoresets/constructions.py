@@ -15,8 +15,10 @@ tiles the blocks, refuses layouts of more than ``2**28`` pairs (the
 dense limit, whatever the output will be) and only then stores one
 ``ArcState`` byte per block pair.  ``build`` verifies every layout
 before returning it: a block's score is its part offset plus the
-size-weighted sum of its row of states, so the audit costs
-O(m + n + block pairs).
+size-weighted sum of its row of states, and the sequence criterion runs
+over the (score, size) runs of the nonempty blocks
+(``check_bipartite_runs``), so the audit costs O(blocks + block pairs)
+and never expands per-vertex scores.
 ``Realization.graph`` builds a new graph with ``from_states`` on every
 access and scores it again against the layout; no graph changes after
 it is built.
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import check_bipartite_pair
-from .graph_core import _NET, ArcState, BipartiteOrientedGraph, Block, ScoreSequencePair, ScoreSet
+from .criteria import check_bipartite_runs
+from .graph_core import _NET, ArcState, BipartiteOrientedGraph, Block, ScoreSet
 from .graph_core import _require_dense
 
 U_TO_V, V_TO_U = ArcState.U_TO_V, ArcState.V_TO_U
@@ -86,39 +88,50 @@ class Realization:
     def _grid(self) -> np.ndarray:
         return np.frombuffer(self.states, dtype=np.uint8).reshape(len(self.u_blocks), -1)
 
-    def scores(self) -> tuple[list[int], list[int]]:
-        """U- and V-scores in vertex order, from the layout: a block scores
-        its part offset plus the size-weighted sum of its row (or column)
-        of block states, whether a rank or a cell set the state."""
+    def _block_scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """The score of each U block and each V block: its part offset plus
+        the size-weighted sum of its row (or column) of block states,
+        whether a rank or a cell set the state."""
         u_size = np.array([b.size for b in self.u_blocks], dtype=np.int64)
         v_size = np.array([b.size for b in self.v_blocks], dtype=np.int64)
         net = _NET[self._grid()]
         # einsum sums int8 x int64 in int64 without an int64 copy of net
         u = self.n + np.einsum("ij,j->i", net, v_size)
         v = self.m - np.einsum("ij,i->j", net, u_size)
+        return u, v
+
+    def scores(self) -> tuple[list[int], list[int]]:
+        """U- and V-scores in vertex order, from the layout."""
+        u, v = self._block_scores()
+        u_size = [b.size for b in self.u_blocks]
+        v_size = [b.size for b in self.v_blocks]
         return np.repeat(u, u_size).tolist(), np.repeat(v, v_size).tolist()
 
     def verify(self) -> None:
-        """Recompute every promise from the layout; raise RealizationError on mismatch."""
-        u_scores, v_scores = self.scores()
-        for part, blocks, got in (("U", self.u_blocks, u_scores), ("V", self.v_blocks, v_scores)):
+        """Recompute every promise from the block scores; raise
+        RealizationError on mismatch.  No per-vertex score is expanded."""
+        runs = []  # per part: vertices of each score
+        for part, blocks, got in zip("UV", (self.u_blocks, self.v_blocks), self._block_scores()):
             pos = 0
-            for blk in blocks:
+            sizes: dict[int, int] = {}
+            for blk, score in zip(blocks, got.tolist()):
                 if blk.start != pos:
                     raise RealizationError(
                         f"{part} blocks do not tile the part: {blk.label} starts "
                         f"at {blk.start}, expected {pos}"
                     )
                 pos = blk.stop
-                if blk.size and got[blk.start] != blk.score:
-                    raise RealizationError(
-                        f"{part} block {blk.label} scores {got[blk.start]}, "
-                        f"expected {blk.score}"
-                    )
-        got_set = ScoreSet.from_values(u_scores + v_scores)
+                if blk.size:
+                    if score != blk.score:
+                        raise RealizationError(
+                            f"{part} block {blk.label} scores {score}, expected {blk.score}"
+                        )
+                    sizes[score] = sizes.get(score, 0) + blk.size
+            runs.append(sorted(sizes.items()))
+        got_set = ScoreSet.from_values(score for part in runs for score, _ in part)
         if got_set != self.requested:
             raise RealizationError(f"score set is {got_set}, requested {self.requested}")
-        violation = check_bipartite_pair(ScoreSequencePair(sorted(u_scores), sorted(v_scores)))
+        violation = check_bipartite_runs(*runs)
         if violation is not None:
             raise RealizationError(
                 f"constructed graph fails the sequence criterion: {violation.describe(('p', 'q'))}"

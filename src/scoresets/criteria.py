@@ -12,12 +12,25 @@ Two checks:
   equality at (p, q) = (m, n).
 
 Both return the first failed constraint as a ``Violation``, or ``None``
-when the sequences pass.  The bipartite check is one pass in O(m + n):
-for fixed p the quantity sum(b[:q]) - 2pq is convex in q because b is
-nondecreasing, so its minimum sits where b[q] crosses 2p, and that
-crossing point only moves right as p grows.  The first p whose minimum
-fails is the first failing row, and its first failing q is found by
-scanning that row, so the witness is the lexicographically first (p, q).
+when the sequences pass.  ``check_bipartite_runs`` decides the bipartite
+check over runs of equal values, ``(value, count)`` pairs, in O(runs);
+``check_bipartite_pair`` encodes its sequences as runs and runs the same
+sweep.
+Write A_p = sum(a[:p]), B_q = sum(b[:q]) and f(p, q) = A_p + B_q - 2pq.
+For fixed p, B_q - 2pq falls while the q-th entry of b is at most 2p and
+rises after, so its minimum over q >= 1 sits at q* = max(1, #{b <= 2p}),
+a count that only grows with p.  Inside a run of a, A_p is linear in p,
+so every f(p, q) is linear in p there and g(p) = min_q f(p, q) is
+concave on the run, counting the end of the run before it (at p = 0, g
+is the least entry of b, which is nonnegative).  A concave function is
+smallest at an end of its interval, so checking g at every run end of a,
+with one pointer over the runs of b, decides pass or fail.  Only after a
+failure is the witness looked for.  In the failing run the failing p
+form a suffix, since g is concave there and nonnegative at the run's
+start, so the first one is found by bisection.  At that p, f(p, q) does
+not increase on [1, q*] and fails at q*, so the first failing q is found
+by bisection too.  The witness is therefore the lexicographically first
+(p, q), then the equality at (m, n).
 
 ``bipartite_pairs_pass`` evaluates the same bipartite statement for
 every pair of a block of a rows and a block of b rows at once, without a
@@ -28,8 +41,10 @@ minimum is negative.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Sequence
 
 import numpy as np
@@ -71,22 +86,73 @@ def check_oriented_scores(scores: Sequence[int]) -> Violation | None:
 
 def check_bipartite_pair(pair: ScoreSequencePair) -> Violation | None:
     """Prefix-sum check for oriented-bipartite score sequence pairs."""
-    a, b = pair.a, pair.b
-    m, n = len(a), len(b)
-    pre_a = list(accumulate(a, initial=0))
-    pre_b = list(accumulate(b, initial=0))
-    crossed = 0  # entries of b known to be <= 2p; never decreases
-    for p in range(1, m + 1):
-        while crossed < n and b[crossed] <= 2 * p:
-            crossed += 1
-        if pre_a[p] + pre_b[crossed or 1] < 2 * p * (crossed or 1):
-            # the row's minimum fails, so its first failing q exists
-            q = next(q for q in range(1, n + 1) if pre_a[p] + pre_b[q] < 2 * p * q)
-            return Violation((p, q), pre_a[p] + pre_b[q], 2 * p * q)
-    total = pre_a[m] + pre_b[n]
-    if total != 2 * m * n:
-        return Violation((m, n), total, 2 * m * n, equality=True)
+    # a ScoreSequencePair is validated, so its runs are too
+    return _check_runs(_runs(pair.a), _runs(pair.b))
+
+
+def _runs(seq: Sequence[int]) -> list[tuple[int, int]]:
+    return [(value, len(list(group))) for value, group in groupby(seq)]
+
+
+def check_bipartite_runs(
+    a_runs: Sequence[tuple[int, int]], b_runs: Sequence[tuple[int, int]]
+) -> Violation | None:
+    """The bipartite check of the sequences that repeat each ``value``
+    ``count`` times, given as ``(value, count)`` runs with strictly
+    increasing nonnegative values and positive counts; the indices of a
+    ``Violation`` are those of the repeated sequences."""
+    for name, runs in (("a", a_runs), ("b", b_runs)):
+        values, counts = zip(*runs) if runs else ((), ())
+        if (not runs or values[0] < 0 or min(counts) < 1
+                or not all(map(operator.lt, values, values[1:]))):
+            raise ValueError(
+                f"runs {name!r} need strictly increasing nonnegative values "
+                f"and positive counts: {runs}"
+            )
+    return _check_runs(a_runs, b_runs)
+
+
+def _check_runs(a_runs, b_runs) -> Violation | None:
+    """``check_bipartite_runs`` on runs known to be valid."""
+    b_values, b_counts = zip(*b_runs)
+    ends = [0, *accumulate(b_counts)]  # entries of b's first j runs
+    sums = [0, *accumulate(map(operator.mul, b_values, b_counts))]  # and their sum
+    p = pre_a = j = 0  # j counts the runs of b whose value is <= 2p
+    for value, count in a_runs:
+        p += count
+        pre_a += value * count
+        while j < len(b_values) and b_values[j] <= 2 * p:
+            j += 1
+        q, low = (ends[j], sums[j]) if j else (1, b_values[0])
+        if pre_a + low < 2 * p * q:
+            return _first_violation(value, count, p, pre_a, b_values, ends, sums)
+    if pre_a + sums[-1] != 2 * p * ends[-1]:
+        return Violation((p, ends[-1]), pre_a + sums[-1], 2 * p * ends[-1], equality=True)
     return None
+
+
+def _first_violation(value, count, end, pre_end, b_values, ends, sums) -> Violation:
+    """The first failing (p, q), given that the run of ``count`` values
+    ``value`` that ends at p = ``end`` with prefix sum ``pre_end`` is the
+    first run of a whose end fails."""
+
+    def f(p: int, q: int) -> int:
+        j = bisect_left(ends, q) - 1  # q lies in b's run j
+        return pre_end - value * (end - p) + sums[j] + b_values[j] * (q - ends[j]) - 2 * p * q
+
+    def q_star(p: int) -> int:
+        return max(1, ends[bisect_right(b_values, 2 * p)])
+
+    def first(lo: int, hi: int, fails) -> int:
+        """The least x in [lo, hi] with fails(x), where the failing x are a suffix."""
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if fails(mid) else (mid + 1, hi)
+        return lo
+
+    p = first(end - count + 1, end, lambda p: f(p, q_star(p)) < 0)
+    q = first(1, q_star(p), lambda q: f(p, q) < 0)
+    return Violation((p, q), f(p, q) + 2 * p * q, 2 * p * q)
 
 
 def bipartite_pairs_pass(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:

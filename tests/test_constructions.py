@@ -7,6 +7,7 @@ import pytest
 from conftest import per_vertex_scores
 from scoresets.constructions import (
     Family,
+    Realization,
     RealizationError,
     UnsupportedScoreSetError,
     build,
@@ -415,10 +416,10 @@ def test_verify_words_the_criterion_violation(monkeypatch):
     import scoresets.constructions as constructions
     from scoresets.criteria import Violation
 
-    def failing(pair):
+    def failing(a_runs, b_runs):
         return Violation((1, 1), 0, 2)
 
-    monkeypatch.setattr(constructions, "check_bipartite_pair", failing)
+    monkeypatch.setattr(constructions, "check_bipartite_runs", failing)
     with pytest.raises(RealizationError, match=r"criterion: invalid at \(p=1, q=1\): 0 < 2$"):
         realize(ScoreSet((1, 2, 5)))
 
@@ -437,6 +438,31 @@ def test_ladder_layout_memory_grows_with_blocks_not_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        tuple(3**i for i in range(9)),  # Geometric ratio 3, 4921x4921
+        (1403,),
+        (1122, 1752),
+        (140, 420, 1688),  # wide triple
+        (561, 1402, 2243),  # narrow triple
+        (140, 770, 1400, 2030, 2660),  # wide arithmetic
+        (1000, 2000, 3000, 4000),  # equal arithmetic
+        (1000, 1100, 1200, 1300, 1400),  # narrow arithmetic
+        (200, 400, 800, 1600, 3200),  # Geometric ratio 2
+    ],
+)
+def test_build_verifies_from_block_scores(values, monkeypatch):
+    # verify audits the blocks; it never asks for per-vertex scores
+    def per_vertex(self):
+        raise AssertionError("verify expanded per-vertex scores")
+
+    monkeypatch.setattr(Realization, "scores", per_vertex)
+    r = realize(ScoreSet(values))
+    r.verify()
+    assert r.requested == ScoreSet(values)
 
 
 def test_export_cannot_drift_from_its_layout():
