@@ -8,20 +8,21 @@ vertex of the higher-ranked one has an arc to every vertex of the
 other; equal ranks, and blocks of rank ``None``, meet no arc.  A layout
 that no rank order describes (the singleton's cycle X1 > Y1 > X2 > Y2
 > X1) lists its arcs as ``cells``: ``{(u_block, v_block): state}`` by
-block index.  Partial dominations are separate blocks (``X1_dominated``
-/ ``X1_rest``, ``Y0_dominated`` / ``Y0_rest``) placed first in their
-part, so only the lowest-indexed slice is dominated.  ``_assemble``
-tiles the blocks, refuses layouts of more than ``2**28`` pairs (the
-dense limit, whatever the output will be) and only then stores one
-``ArcState`` byte per block pair.  ``build`` verifies every layout
-before returning it: a block's score is its part offset plus the
-size-weighted sum of its row of states, and the sequence criterion runs
-over the (score, size) runs of the nonempty blocks
-(``check_bipartite_runs``), so the audit costs O(blocks + block pairs)
-and never expands per-vertex scores.
-``Realization.graph`` builds a new graph with ``from_states`` on every
-access and scores it again against the layout; no graph changes after
-it is built.
+block index, each replacing the rank state of its block pair.  Partial
+dominations are separate blocks (``X1_dominated`` / ``X1_rest``,
+``Y0_dominated`` / ``Y0_rest``) placed first in their part, so only the
+lowest-indexed slice is dominated.  ``_assemble`` tiles the blocks,
+keeping each block's rank, and refuses layouts of more than ``2**28``
+pairs (the dense limit, whatever the output will be).  ``build``
+verifies every layout before returning it: a block's score is its
+opposite part's size plus the vertices of lower-ranked opposing blocks
+minus those of higher-ranked ones (one sorted sweep per part), corrected
+for each cell, and the sequence criterion runs over the (score, size)
+runs of the nonempty blocks (``check_bipartite_runs``), so the audit
+costs O(blocks log blocks) and never expands per-vertex scores.
+``Realization.graph`` compares the ranks on the block grid, builds a
+new graph with ``from_states`` on every access and scores it again
+against the layout; no graph changes after it is built.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -32,7 +33,9 @@ raises UnsupportedScoreSetError for such inputs instead of guessing.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,13 +70,13 @@ class Family:
 @dataclass(frozen=True)
 class Realization:
     """A block layout, the requested score set, and the family ``build``
-    dispatched on.  ``states`` holds the ArcState of U block i against
-    V block j at byte ``i * len(v_blocks) + j``; bytes, unlike an array,
-    keep the dataclass's value equality."""
+    dispatched on.  The blocks carry their ranks; ``cells`` pairs a
+    (U block, V block) index pair with the ArcState that replaces its
+    rank state, as a tuple, which unlike a dict keeps the value hashable."""
 
     u_blocks: tuple[Block, ...]
     v_blocks: tuple[Block, ...]
-    states: bytes
+    cells: tuple[tuple[tuple[int, int], ArcState], ...]
     requested: ScoreSet
     family: Family
 
@@ -85,19 +88,17 @@ class Realization:
     def n(self) -> int:
         return self.v_blocks[-1].stop
 
-    def _grid(self) -> np.ndarray:
-        return np.frombuffer(self.states, dtype=np.uint8).reshape(len(self.u_blocks), -1)
-
-    def _block_scores(self) -> tuple[np.ndarray, np.ndarray]:
-        """The score of each U block and each V block: its part offset plus
-        the size-weighted sum of its row (or column) of block states,
-        whether a rank or a cell set the state."""
-        u_size = np.array([b.size for b in self.u_blocks], dtype=np.int64)
-        v_size = np.array([b.size for b in self.v_blocks], dtype=np.int64)
-        net = _NET[self._grid()]
-        # einsum sums int8 x int64 in int64 without an int64 copy of net
-        u = self.n + np.einsum("ij,j->i", net, v_size)
-        v = self.m - np.einsum("ij,i->j", net, u_size)
+    def _block_scores(self) -> tuple[list[int], list[int]]:
+        """The score of each U block and each V block: from the ranks,
+        then corrected for each cell by its net arc less the rank's."""
+        u = _rank_scores(self.u_blocks, self.v_blocks)
+        v = _rank_scores(self.v_blocks, self.u_blocks)
+        for (i, j), state in self.cells:
+            x, y = self.u_blocks[i], self.v_blocks[j]
+            by_rank = 0 if None in (x.rank, y.rank) else (x.rank > y.rank) - (x.rank < y.rank)
+            net = int(_NET[state]) - by_rank
+            u[i] += net * y.size
+            v[j] -= net * x.size
         return u, v
 
     def scores(self) -> tuple[list[int], list[int]]:
@@ -114,7 +115,7 @@ class Realization:
         for part, blocks, got in zip("UV", (self.u_blocks, self.v_blocks), self._block_scores()):
             pos = 0
             sizes: dict[int, int] = {}
-            for blk, score in zip(blocks, got.tolist()):
+            for blk, score in zip(blocks, got):
                 if blk.start != pos:
                     raise RealizationError(
                         f"{part} blocks do not tile the part: {blk.label} starts "
@@ -140,8 +141,16 @@ class Realization:
     @property
     def graph(self) -> BipartiteOrientedGraph:
         """A new dense graph, built on each access and re-scored against the layout."""
+        # a rank of None becomes NaN, which compares neither above nor below
+        u_rank = np.array([b.rank for b in self.u_blocks], dtype=float)[:, None]
+        v_rank = np.array([b.rank for b in self.v_blocks], dtype=float)
+        grid = np.zeros((len(self.u_blocks), len(self.v_blocks)), dtype=np.uint8)
+        grid[u_rank > v_rank] = U_TO_V
+        grid[u_rank < v_rank] = V_TO_U
+        for cell, state in self.cells:
+            grid[cell] = state
         v_size = [b.size for b in self.v_blocks]
-        rows = np.repeat(self._grid(), [b.size for b in self.u_blocks], axis=0)  # one per U vertex
+        rows = np.repeat(grid, [b.size for b in self.u_blocks], axis=0)  # one per U vertex
         g = BipartiteOrientedGraph.from_states(np.repeat(rows, v_size, axis=1))
         if g.scores() != self.scores():
             raise RealizationError("the dense graph does not score as its layout")
@@ -154,30 +163,38 @@ class Realization:
         return self.graph.to_dot(blocks=(self.u_blocks, self.v_blocks))
 
 
+def _rank_scores(blocks: tuple[Block, ...], opposing: tuple[Block, ...]) -> list[int]:
+    """Each block's score from the ranks alone: the opposing part's size,
+    plus the vertices of lower-ranked opposing blocks, minus those of
+    higher-ranked ones."""
+    ranked = sorted((b.rank, b.size) for b in opposing if b.rank is not None)
+    ranks = [rank for rank, _ in ranked]
+    below = list(accumulate((size for _, size in ranked), initial=0))  # of the k lowest
+    part, top = opposing[-1].stop, below[-1]
+    return [
+        part
+        if b.rank is None
+        else part + below[bisect_left(ranks, b.rank)] - top + below[bisect_right(ranks, b.rank)]
+        for b in blocks
+    ]
+
+
 def _tile(part: Part) -> tuple[Block, ...]:
     blocks = []
     pos = 0
-    for label, size, score, _ in part:
-        blocks.append(Block(label, pos, pos + size, score))
+    for label, size, score, rank in part:
+        blocks.append(Block(label, pos, pos + size, score, rank))
         pos += size
     return tuple(blocks)
 
 
 def _assemble(layout: Layout, family: Family) -> Realization:
-    """Tile both parts, refuse the layout past the dense limit, then fill
-    the block-state matrix from the ranks and the cells."""
+    """Tile both parts, keeping the ranks, and refuse the layout past the
+    dense limit."""
     values, u, v, cells = layout
     u_blocks, v_blocks = _tile(u), _tile(v)
     _require_dense(u_blocks[-1].stop, v_blocks[-1].stop)
-    # a rank of None becomes NaN, which compares neither above nor below
-    u_rank = np.array([rank for *_, rank in u], dtype=float)[:, None]
-    v_rank = np.array([rank for *_, rank in v], dtype=float)
-    grid = np.zeros((len(u), len(v)), dtype=np.uint8)
-    grid[u_rank > v_rank] = U_TO_V
-    grid[u_rank < v_rank] = V_TO_U
-    for cell, state in cells.items():
-        grid[cell] = state
-    return Realization(u_blocks, v_blocks, grid.tobytes(), ScoreSet(values), family)
+    return Realization(u_blocks, v_blocks, tuple(cells.items()), ScoreSet(values), family)
 
 
 def _singleton(a: int) -> Layout:

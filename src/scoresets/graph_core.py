@@ -40,12 +40,15 @@ class ArcState(IntEnum):
 @dataclass(frozen=True)
 class Block:
     """Contiguous vertex index range [start, stop) within one part whose
-    every vertex is expected to score ``score``."""
+    every vertex is expected to score ``score``.  In a construction, every
+    vertex of a block beats every vertex of each opposing block of lower
+    ``rank``; ``None`` ranks below and above nothing."""
 
     label: str
     start: int
     stop: int
     score: int
+    rank: int | None = None
 
     def __post_init__(self) -> None:
         if self.start < 0 or self.stop < self.start:

@@ -3,9 +3,12 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import per_vertex_scores
 from scoresets.constructions import (
+    _assemble,
     Family,
     Realization,
     RealizationError,
@@ -389,14 +392,18 @@ def test_verify_catches_tampering():
     r = build(Family("Singleton", (2,)))
     r.verify()
     for cell, state in [
-        (0, ArcState.ABSENT),  # X1 against Y1 loses its arcs
-        (1, ArcState.U_TO_V),  # X1 against Y2 is reversed
+        ((0, 0), ArcState.ABSENT),  # X1 against Y1 loses its arcs
+        ((0, 1), ArcState.U_TO_V),  # X1 against Y2 is reversed
     ]:
-        states = bytearray(r.states)
-        states[cell] = state
-        tampered = replace(r, states=bytes(states))
+        tampered = replace(r, cells=tuple({**dict(r.cells), cell: state}.items()))
         with pytest.raises(RealizationError):
             tampered.verify()
+    wide = build(Family("Triple", (1, 2, 5)))
+    wide.verify()
+    x1, x2 = wide.u_blocks
+    tampered = replace(wide, u_blocks=(x1, replace(x2, rank=1)))  # X2 ties Y1: no arcs
+    with pytest.raises(RealizationError):
+        tampered.verify()
 
 
 def test_build_verifies_the_layout(monkeypatch):
@@ -430,14 +437,15 @@ def test_realizations_compare_by_value():
 
 
 def test_ladder_layout_memory_grows_with_blocks_not_pairs():
-    # {1..2000}: 1001 U and 1000 V blocks of size 1, about 10**6 vertex pairs
-    tracemalloc.start()
-    try:
-        build(classify(ScoreSet(range(1, 2001)))).verify()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, f"peak {peak} bytes"
+    # {1..k}: k/2 + 1 U and k/2 V blocks of size 1, about k**2 / 4 vertex pairs
+    for k in (2000, 20000):
+        tracemalloc.start()
+        try:
+            build(classify(ScoreSet(range(1, k + 1)))).verify()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{{1..{k}}}: peak {peak} bytes"
 
 
 @pytest.mark.parametrize(
@@ -575,6 +583,37 @@ def test_layout_scores_equal_dense_scores(values):
     g = r.graph
     assert r.scores() == g.scores() == per_vertex_scores(g)
     assert (r.m, r.n) == (g.m, g.n)
+
+
+@st.composite
+def rank_layouts(draw):
+    """Layouts of up to five blocks a part, sizes 0..3 (at least one vertex
+    a part), ranks from {None, 0..3} with ties, and up to four cells over
+    any block pairs, ranked or not."""
+
+    def part(prefix):
+        sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(any))
+        ranks = st.none() | st.integers(0, 3)
+        return [(f"{prefix}{i}", size, 0, draw(ranks)) for i, size in enumerate(sizes)]
+
+    u, v = part("X"), part("Y")
+    pairs = st.tuples(st.integers(0, len(u) - 1), st.integers(0, len(v) - 1))
+    cells = draw(st.dictionaries(pairs, st.sampled_from(ArcState), max_size=4))
+    return (1,), u, v, cells
+
+
+@given(rank_layouts())
+@example(  # a tie, an empty ranked block, a cell over a ranked and one over an unranked pair
+    (
+        (1,),
+        [("X0", 2, 0, 1), ("X1", 0, 0, 3), ("X2", 1, 0, None)],
+        [("Y0", 1, 0, 1), ("Y1", 3, 0, 0), ("Y2", 0, 0, 2)],
+        {(0, 1): ArcState.V_TO_U, (2, 0): ArcState.U_TO_V},
+    )
+)
+def test_rank_layout_scores_equal_per_vertex_scores(layout):
+    r = _assemble(layout, Family("Layout", ()))
+    assert r.scores() == per_vertex_scores(r.graph)
 
 
 # ------------------------------------------------- oracle cross-verification
