@@ -11,18 +11,19 @@ that no rank order describes (the singleton's cycle X1 > Y1 > X2 > Y2
 block index, each replacing the rank state of its block pair.  Partial
 dominations are separate blocks (``X1_dominated`` / ``X1_rest``,
 ``Y0_dominated`` / ``Y0_rest``) placed first in their part, so only the
-lowest-indexed slice is dominated.  ``_assemble`` tiles the blocks,
-keeping each block's rank, and refuses layouts of more than ``2**28``
-pairs (the dense limit, whatever the output will be).  ``build``
-verifies every layout before returning it: a block's score is its
-opposite part's size plus the vertices of lower-ranked opposing blocks
-minus those of higher-ranked ones (one sorted sweep per part), corrected
-for each cell, and the sequence criterion runs over the (score, size)
-runs of the nonempty blocks (``check_bipartite_runs``), so the audit
-costs O(blocks log blocks) and never expands per-vertex scores.
-``Realization.graph`` compares the ranks on the block grid, builds a
-new graph with ``from_states`` on every access and scores it again
-against the layout; no graph changes after it is built.
+lowest-indexed slice is dominated.  ``build`` tiles the blocks, keeping
+each block's rank, and verifies every layout before returning it, at
+any size: a block's score is its opposite part's size plus the vertices
+of lower-ranked opposing blocks minus those of higher-ranked ones (one
+sorted sweep per part), corrected for each cell, and the sequence
+criterion runs over the (score, size) runs of the nonempty blocks
+(``check_bipartite_runs``), so the audit costs O(blocks log blocks) and
+never expands per-vertex scores.
+``Realization.graph`` is the one place that allocates per pair: it
+refuses layouts of more than ``2**28`` pairs (the dense limit), then
+compares the ranks on the block grid, builds a new graph with
+``from_states`` on every access and scores it again against the layout;
+no graph changes after it is built.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -140,7 +141,9 @@ class Realization:
 
     @property
     def graph(self) -> BipartiteOrientedGraph:
-        """A new dense graph, built on each access and re-scored against the layout."""
+        """A new dense graph, built on each access and re-scored against the
+        layout; raises ValueError before allocating past the dense limit."""
+        _require_dense(self.m, self.n)
         # a rank of None becomes NaN, which compares neither above nor below
         u_rank = np.array([b.rank for b in self.u_blocks], dtype=float)[:, None]
         v_rank = np.array([b.rank for b in self.v_blocks], dtype=float)
@@ -186,15 +189,6 @@ def _tile(part: Part) -> tuple[Block, ...]:
         blocks.append(Block(label, pos, pos + size, score, rank))
         pos += size
     return tuple(blocks)
-
-
-def _assemble(layout: Layout, family: Family) -> Realization:
-    """Tile both parts, keeping the ranks, and refuse the layout past the
-    dense limit."""
-    values, u, v, cells = layout
-    u_blocks, v_blocks = _tile(u), _tile(v)
-    _require_dense(u_blocks[-1].stop, v_blocks[-1].stop)
-    return Realization(u_blocks, v_blocks, tuple(cells.items()), ScoreSet(values), family)
 
 
 def _singleton(a: int) -> Layout:
@@ -408,15 +402,17 @@ def classify(score_set: ScoreSet) -> Family:
                 return Family("Geometric", (vals[0], ratios.pop(), len(vals) - 1))
     raise UnsupportedScoreSetError(
         f"no construction covers {score_set}: "
-        "supported are sets of positive integers of size 1-3 and geometric "
-        "or arithmetic progressions; 'scoresets search' looks for a witness "
-        "within given part sizes"
+        "supported are sets of positive integers of size 1-3, arithmetic "
+        "progressions and geometric progressions with an integer ratio; "
+        "'scoresets search' looks for a witness within given part sizes"
     )
 
 
 def build(family: Family) -> Realization:
-    """Dispatch a classified family to its builder and verify the layout."""
-    result = _assemble(_BUILDERS[family.name](*family.params), family)
+    """Dispatch a classified family to its builder, tile both parts and
+    verify the layout."""
+    values, u, v, cells = _BUILDERS[family.name](*family.params)
+    result = Realization(_tile(u), _tile(v), tuple(cells.items()), ScoreSet(values), family)
     result.verify()
     return result
 

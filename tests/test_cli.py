@@ -229,11 +229,18 @@ def test_score_dense_limit_exit_1(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["summary", "json", "dot"])
 def test_realize_dense_limit_exit_1(capsys, monkeypatch, fmt):
+    # geometric(1, 3, 10): 44287 x 44287; the summary reads only the blocks
     _refuse_large_buffers(monkeypatch)
-    values = ",".join(str(3**k) for k in range(11))  # geometric(1, 3, 10): 44287 x 44287
+    values = ",".join(str(3**k) for k in range(11))
     code, out, err = run(capsys, "realize", "--set", values, "--format", fmt)
-    assert code == 1 and out == ""
-    assert "dense limit" in err
+    if fmt == "summary":
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[2] == "m = 44287, n = 44287"
+        assert len(lines[3].split()) == 2 + 11  # "U blocks:" and 11 blocks
+    else:
+        assert code == 1 and out == ""
+        assert "dense limit" in err
 
 
 def _limit_address_space():
@@ -257,9 +264,13 @@ def run_in_2gib(*argv):
 
 def test_realize_above_limit_ladder_exits_1():
     # {2,4,...,32770}: arithmetic d == a, 16386 x 16386 in blocks of size 2,
-    # just above the dense limit; it must be refused within a 2 GiB address space
+    # just above the dense limit; within a 2 GiB address space the summary
+    # answers and the json export is refused
     values = ",".join(map(str, range(2, 32771, 2)))
     proc = run_in_2gib("realize", "--set", values, "--format", "summary")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[2] == "m = 16386, n = 16386"
+    proc = run_in_2gib("realize", "--set", values, "--format", "json")
     assert proc.returncode == 1 and proc.stdout == ""
     assert "dense limit" in proc.stderr
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import per_vertex_scores
 from scoresets.constructions import (
-    _assemble,
+    _tile,
     Family,
     Realization,
     RealizationError,
@@ -346,6 +346,9 @@ def test_classify_rejections():
     # no builder covers 0, although {0, 2} has a 1x1 witness
     with pytest.raises(UnsupportedScoreSetError, match=r"no construction covers \{0,1,2\}"):
         classify(ScoreSet((0, 1, 2)))
+    # a geometric progression, but of ratio 3/2
+    with pytest.raises(UnsupportedScoreSetError, match="geometric progressions with an integer ratio"):
+        classify(ScoreSet((8, 12, 18, 27)))
 
 
 def test_build_rejects_an_unknown_family():
@@ -446,6 +449,25 @@ def test_ladder_layout_memory_grows_with_blocks_not_pairs():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"{{1..{k}}}: peak {peak} bytes"
+
+
+def test_above_the_dense_limit_only_the_exports_refuse():
+    # {10**20} is 10**20 x 10**20 and builds and verifies in Python ints
+    huge = build(Family("Singleton", (10**20,)))
+    assert huge.m == huge.n == 10**20
+    assert huge._block_scores() == ([10**20] * 2, [10**20] * 2)
+    # {2,4,...,32770} is 16386 x 16386, just above the dense limit
+    ladder = realize(ScoreSet(range(2, 32771, 2)))
+    for r in (ladder, huge):
+        for export in (lambda: r.graph, r.to_json, r.to_dot):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="dense limit"):
+                    export()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, f"{r.m}x{r.n}: peak {peak} bytes"
 
 
 @pytest.mark.parametrize(
@@ -612,7 +634,8 @@ def rank_layouts(draw):
     )
 )
 def test_rank_layout_scores_equal_per_vertex_scores(layout):
-    r = _assemble(layout, Family("Layout", ()))
+    values, u, v, cells = layout
+    r = Realization(_tile(u), _tile(v), tuple(cells.items()), ScoreSet(values), Family("Layout", ()))
     assert r.scores() == per_vertex_scores(r.graph)
 
 
