@@ -19,11 +19,11 @@ sorted sweep per part), corrected for each cell, and the sequence
 criterion runs over the (score, size) runs of the nonempty blocks
 (``check_bipartite_runs``), so the audit costs O(blocks log blocks) and
 never expands per-vertex scores.
-``Realization.graph`` is the one place that allocates per pair: it
-refuses layouts of more than ``2**28`` pairs (the dense limit), then
-compares the ranks on the block grid, builds a new graph with
-``from_states`` on every access and scores it again against the layout;
-no graph changes after it is built.
+``Realization.scores`` and ``Realization.graph`` are the places that
+expand a layout; both refuse layouts of more than ``2**28`` pairs (the
+dense limit) first.  ``graph`` compares the ranks on the block grid,
+builds a new graph with ``from_states`` on every access and scores it
+again against the layout; no graph changes after it is built.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -103,7 +103,8 @@ class Realization:
         return u, v
 
     def scores(self) -> tuple[list[int], list[int]]:
-        """U- and V-scores in vertex order, from the layout."""
+        """U- and V-scores in vertex order, from the layout, within the dense limit."""
+        _require_dense(self.m, self.n)
         u, v = self._block_scores()
         u_size = [b.size for b in self.u_blocks]
         v_size = [b.size for b in self.v_blocks]

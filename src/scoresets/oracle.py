@@ -41,10 +41,12 @@ at 4x4, against 3**16 = 43,046,721 assignments and 1,929,501 row
 multisets there.  They are built along the lines of the shorter side,
 of at most 6 pairs in the oracle's range, from the most significant
 line down: each line's code is at least the one before it, and inside
-each run of cross lines still tied its digits do not rise.  A catalog
-works on blocks of at most ``_CHUNK`` candidates, and blocks merge by
-least index, so the outcome is independent of the block size.  Every
-entry point enforces a budget cap on 3**(m*n) before touching a shape.
+each run of cross lines still tied its digits do not rise.  Catalogs
+and searches alike work on blocks of at most ``_BLOCK // (m + n)``
+candidates.  A catalog keeps its keys in ascending order and merges
+each block into them, keeping the least index of every key, so the
+outcome is independent of the block size.  Every entry point enforces a
+budget cap on 3**(m*n) before touching a shape.
 
 ``bounded_search`` never scans a shape.  Each admitted shape runs the
 catalogs' generator with only kept lines on the shorter side, which
@@ -73,12 +75,10 @@ from .criteria import bipartite_pairs_pass
 from .graph_core import _NET, BipartiteOrientedGraph, ScoreSet
 
 DEFAULT_BUDGET = 3**16
-# candidates per block of a catalog: each array of a block holds at most
-# 2**16 * (m + n) int64s, 4 MB at 4x4
-_CHUNK = 1 << 16
-# int64s per block of a search, its scores (m + n per candidate); at
-# 256 KiB whatever the target, no search frees a block large enough to
-# raise glibc's malloc thresholds for the rest of the process
+# int64 scores per block of candidates (m + n per candidate), in catalogs
+# and searches alike, and pairs per block of criterion_equivalence; at
+# 256 KiB whatever the shape, no block is large enough to raise glibc's
+# malloc thresholds for the rest of the process
 _BLOCK = 1 << 15
 
 
@@ -267,14 +267,15 @@ class RealizabilityCatalog:
 def _least_per_key(
     keys: np.ndarray, index: np.ndarray, merged: tuple[np.ndarray, np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct key once with its least index, over one block and
-    the ``merged`` keys and indices of the blocks before it."""
+    """Each distinct key once with its least index, keys ascending, over
+    one block and the ``merged`` keys and indices of the blocks before it,
+    themselves ascending: a stable sort finds them as one sorted run."""
     if merged is not None:
         keys, index = np.concatenate([merged[0], keys]), np.concatenate([merged[1], index])
-    order = np.argsort(index)
-    # np.unique keeps the first occurrence, here the least index
-    keys, first = np.unique(keys[order], return_index=True)
-    return keys, index[order[first]]
+    order = np.argsort(keys, kind="stable")
+    keys, index = keys[order], index[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return keys[starts], np.minimum.reduceat(index, starts)
 
 
 @functools.cache
@@ -369,21 +370,18 @@ def _shape_lines(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _candidates(m: int, n: int, target: int = -1) -> Iterator[tuple[np.ndarray, ...]]:
     """Index, U scores and V scores of every doubly sorted assignment
     of shape (m, n), rows and columns nonincreasing, whose lines of the
-    shorter side are kept (own score in ``target``; -1 keeps all).
-    Catalogs get blocks of at most ``_CHUNK``, searches blocks whose
-    int64 scores take at most ``_BLOCK`` entries.  Lines are built from
-    the most significant down, each no less than the one before it, with
-    the tie patterns of ``_tie_table``."""
+    shorter side are kept (own score in ``target``; -1 keeps all), in
+    blocks whose int64 scores take at most ``_BLOCK`` entries.  Lines
+    are built from the most significant down, each no less than the one
+    before it, with the tie patterns of ``_tie_table``."""
     count = max(m, n)
     scores, weights = _shape_lines(m, n)
     allowed, after, *steps = _tie_table(min(m, n))
-    limit = _CHUNK
     if target != -1:
         steps = _steps(allowed & (target >> scores & 1).astype(bool), after)
-        limit = max(1, _BLOCK // (m + n))
     # before the first line every cross line is tied and any state is >= 0
     root = np.zeros((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)
-    for lines in _doubly_sorted(count, steps, limit, *root):
+    for lines in _doubly_sorted(count, steps, max(1, _BLOCK // (m + n)), *root):
         sums = weights[0].take(lines[:, 0], axis=0)
         for k in range(1, count):
             sums += weights[k].take(lines[:, k], axis=0)
@@ -405,9 +403,9 @@ def catalog_for_shape(
 
     Only doubly sorted assignments, whose rows and columns are both
     nonincreasing, are scored: by the rearrangement inequality they hold
-    the least index of every key (see the module docstring).  They are scored from the
-    cached line tables in blocks of at most ``_CHUNK``, and the blocks
-    merge by least index.
+    the least index of every key (see the module docstring).  They are
+    scored in the blocks of ``_candidates``, each merged into the keys so
+    far in key order; one sort by least index gives the output order.
     """
     if not (sets or pairs):
         raise ValueError("a catalog needs sets=True or pairs=True")
@@ -547,7 +545,7 @@ def criterion_equivalence(
     [0, 2n] x [0, 2m] that passes the check is attained by some graph.
 
     The check is batched: ``bipartite_pairs_pass`` decides blocks of a
-    candidates against every b candidate, each block at most ``_CHUNK``
+    candidates against every b candidate, each block at most ``_BLOCK``
     pairs (no shape in the oracle's range has more b candidates than
     that), so no temporary grows with the budget.
     """
@@ -555,7 +553,7 @@ def criterion_equivalence(
     a_keys = list(combinations_with_replacement(range(2 * n + 1), m))
     b_keys = list(combinations_with_replacement(range(2 * m + 1), n))
     a_rows, b_rows = np.array(a_keys, dtype=np.int64), np.array(b_keys, dtype=np.int64)
-    step = _CHUNK // len(b_keys)
+    step = _BLOCK // len(b_keys)
     passing = set()
     for lo in range(0, len(a_keys), step):
         rows, cols = np.nonzero(bipartite_pairs_pass(a_rows[lo : lo + step], b_rows))

@@ -459,7 +459,7 @@ def test_above_the_dense_limit_only_the_exports_refuse():
     # {2,4,...,32770} is 16386 x 16386, just above the dense limit
     ladder = realize(ScoreSet(range(2, 32771, 2)))
     for r in (ladder, huge):
-        for export in (lambda: r.graph, r.to_json, r.to_dot):
+        for export in (lambda: r.graph, r.scores, r.to_json, r.to_dot):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match="dense limit"):

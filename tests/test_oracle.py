@@ -170,8 +170,10 @@ def test_shard_merge_determinism(monkeypatch):
     found = bounded_search(ScoreSet((0, 2, 6)), 2, 3)
     assert (found.m, found.n, EnumerationSpace(2, 3).encode(found)) == (2, 3, 368)
     assert bounded_search(ScoreSet((0,)), 2, 3) is None
-    # 3x3 builds rows, 2x6 columns; each has more than 1000 candidates
-    references = {(m, n): catalog_for_shape(m, n) for m, n in [(3, 3), (2, 6)]}
+    # 3x3 builds rows, 2x6 and 3x5 columns; the references are one block each
+    default = oracle._BLOCK
+    monkeypatch.setattr(oracle, "_BLOCK", 1 << 40)
+    references = {(m, n): catalog_for_shape(m, n) for m, n in [(3, 3), (2, 6), (3, 5)]}
     sizes = []
     candidates = oracle._candidates
 
@@ -181,9 +183,11 @@ def test_shard_merge_determinism(monkeypatch):
             yield block
 
     monkeypatch.setattr(oracle, "_candidates", recording)
-    for cap in (1, 7, 1000):
-        monkeypatch.setattr(oracle, "_CHUNK", cap)
-        for (m, n), reference in references.items():
+    # candidates per block; 3x5's 70,243 candidates take 19 blocks at the default
+    caps = {(3, 3): (1, 7, 1000), (2, 6): (1, 7, 1000), (3, 5): (1000, default // 8)}
+    for (m, n), reference in references.items():
+        for cap in caps[m, n]:
+            monkeypatch.setattr(oracle, "_BLOCK", cap * (m + n))
             sizes.clear()
             other = catalog_for_shape(m, n)
             assert list(other.sets.items()) == list(reference.sets.items())
@@ -193,11 +197,25 @@ def test_shard_merge_determinism(monkeypatch):
 
 @pytest.mark.parametrize("m,n", [(3, 3), (2, 5), (5, 2), (1, 12)])
 def test_pairs_lane_matches_unique_reference_across_chunks(m, n, monkeypatch):
-    monkeypatch.setattr(oracle, "_CHUNK", 1000)  # splits every shape but 1x12 into blocks
+    monkeypatch.setattr(oracle, "_BLOCK", 50 * (m + n))  # blocks of 50 split every shape
+    assert len(list(oracle._candidates(m, n))) > 1
     reference = full_scan(m, n).pairs
     pairs = catalog_for_shape(m, n, sets=False).pairs
     # keys, witness indices and insertion order
     assert list(pairs.items()) == list(reference.items())
+
+
+def test_catalog_memory_stays_per_block():
+    # 250,841 candidates at 4x4 and 414,848 at 3x6: blocks merge into the
+    # keys so far, so no array grows with the count of candidates
+    for m, n, budget in ((4, 4, oracle.DEFAULT_BUDGET), (3, 6, 3**18)):
+        tracemalloc.start()
+        try:
+            catalog_for_shape(m, n, pairs=False, budget=budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"{m}x{n}: peak {peak} bytes"
 
 
 SMALL_SHAPES = [(m, n) for m in range(1, 10) for n in range(1, 10) if m * n <= 9]
@@ -459,7 +477,7 @@ ROW_BUILT = [(m, n) for m in range(1, 17) for n in range(1, m + 1) if m * n <= 1
 def test_row_built_candidates_ascend_in_index(m, n, monkeypatch):
     # a row-built search stops at its first hit because candidates come
     # in ascending index, within a block and from block to block
-    monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    monkeypatch.setattr(oracle, "_BLOCK", 100 * (m + n))
     index = all_candidates(m, n)[0]
     assert np.all(index[1:] > index[:-1])
 
@@ -495,8 +513,8 @@ def test_sorting_lines_reaches_a_candidate(shape, index):
 
 def test_search_blocks_keep_their_scores_within_the_block(monkeypatch):
     # a search of {0,1,2,3,4,8,9} scores candidates in blocks whose int64
-    # scores, m + n per candidate, take at most _BLOCK entries; catalogs
-    # keep blocks of _CHUNK.  Row-built 5x3 stops after the block of its
+    # scores, m + n per candidate, take at most _BLOCK entries, as do
+    # those of a catalog.  Row-built 5x3 stops after the block of its
     # first hit; column-built 3x5 scores every block
     values = (0, 1, 2, 3, 4, 8, 9)
     target = oracle._mask_of(values)
@@ -515,7 +533,7 @@ def test_search_blocks_keep_their_scores_within_the_block(monkeypatch):
         searched = [size for size, kept in blocks if kept == target]
         assert (sum(searched), len(searched)) == (count, split), (m, n)
         assert max(searched) * (m + n) <= oracle._BLOCK
-        assert max(size for size, kept in blocks if kept == -1) == oracle._CHUNK
+        assert max(size for size, kept in blocks if kept == -1) == oracle._BLOCK // (m + n)
 
 
 def test_line_tables_are_cached_and_read_only():
@@ -672,15 +690,15 @@ def test_criterion_equivalence_holds_at_4x4_in_blocks(monkeypatch):
     report = criterion_equivalence(4, 4)
     assert report.counterexamples == []
     assert report.candidates == sum(blocks) == 495 * 495
-    assert len(blocks) == 4 and max(blocks) <= oracle._CHUNK
+    assert len(blocks) == 8 and max(blocks) <= oracle._BLOCK
 
 
-def test_criterion_equivalence_blocks_stay_within_the_chunk_at_every_shape():
-    # one a candidate per block keeps a block within _CHUNK pairs
+def test_criterion_equivalence_blocks_stay_within_the_block_at_every_shape():
+    # one a candidate per block keeps a block within _BLOCK pairs
     for m in range(1, 32):
         for n in range(1, 32):
             if 2 * max(m, n) <= 62 and m * n < 40:
-                assert math.comb(2 * m + n, n) <= oracle._CHUNK, (m, n)
+                assert math.comb(2 * m + n, n) <= oracle._BLOCK, (m, n)
 
 
 def test_criterion_equivalence_is_independent_of_the_block_size(monkeypatch):
@@ -690,8 +708,8 @@ def test_criterion_equivalence_is_independent_of_the_block_size(monkeypatch):
         return exact(a_rows, b_rows) ^ (b_rows.sum(axis=1) % 3 == 0)
 
     monkeypatch.setattr(oracle, "bipartite_pairs_pass", faulty_batch)
-    whole = criterion_equivalence(3, 3)
-    monkeypatch.setattr(oracle, "_CHUNK", 100)
+    whole = criterion_equivalence(3, 3)  # one block
+    monkeypatch.setattr(oracle, "_BLOCK", 100)  # one a candidate per block
     assert criterion_equivalence(3, 3) == whole
     assert whole.counterexamples
 
