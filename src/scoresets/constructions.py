@@ -5,25 +5,24 @@ Every construction is a block layout, and a Realization is that layout.
 records the family.  A builder lists each part as a sequence of
 ``(label, size, score, rank)`` blocks.  Of two ranked blocks, every
 vertex of the higher-ranked one has an arc to every vertex of the
-other; equal ranks, and blocks of rank ``None``, meet no arc.  A layout
-that no rank order describes (the singleton's cycle X1 > Y1 > X2 > Y2
-> X1) lists its arcs as ``cells``: ``{(u_block, v_block): state}`` by
-block index, each replacing the rank state of its block pair.  Partial
-dominations are separate blocks (``X1_dominated`` / ``X1_rest``,
-``Y0_dominated`` / ``Y0_rest``) placed first in their part, so only the
-lowest-indexed slice is dominated.  ``build`` tiles the blocks, keeping
-each block's rank, and verifies every layout before returning it, at
-any size: a block's score is its opposite part's size plus the vertices
-of lower-ranked opposing blocks minus those of higher-ranked ones (one
-sorted sweep per part), corrected for each cell, and the sequence
-criterion runs over the (score, size) runs of the nonempty blocks
-(``check_bipartite_runs``), so the audit costs O(blocks log blocks) and
-never expands per-vertex scores.
-``Realization.scores`` and ``Realization.graph`` are the places that
-expand a layout; both refuse layouts of more than ``2**28`` pairs (the
-dense limit) first.  ``graph`` compares the ranks on the block grid,
-builds a new graph with ``from_states`` on every access and scores it
-again against the layout; no graph changes after it is built.
+other; equal ranks, and blocks of rank ``None``, meet no arc.  Only the
+singleton's cycle X1 > Y1 > X2 > Y2 > X1, which the doubleton reuses,
+has no rank order; its arcs are ``cells``: ``{(u_block, v_block):
+state}`` by block index, each replacing the rank state of its block
+pair.  Partial dominations are separate blocks (``X1_dominated`` /
+``X1_rest``, ``Y0_dominated`` / ``Y0_rest``) placed first in their
+part, so only the lowest-indexed slice is dominated.  ``build`` tiles
+the blocks, keeping each block's rank, and verifies every layout before
+returning it, at any size.  ``_block_scores`` is the one layout scorer:
+a block's score is its opposite part's size plus the vertices of
+lower-ranked opposing blocks minus those of higher-ranked ones (one
+sorted sweep per part), corrected for each cell.  ``verify`` runs the
+sequence criterion over the (score, size) runs of the nonempty blocks
+(``check_bipartite_runs``), so the audit costs O(blocks log blocks).
+``Realization.graph`` is the one place that expands a layout: it
+refuses layouts of more than ``2**28`` pairs (the dense limit) first,
+then builds a new graph on every access and checks its scores against
+the block scores; no graph changes after it is built.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -90,8 +89,9 @@ class Realization:
         return self.v_blocks[-1].stop
 
     def _block_scores(self) -> tuple[list[int], list[int]]:
-        """The score of each U block and each V block: from the ranks,
-        then corrected for each cell by its net arc less the rank's."""
+        """The score of each U block and each V block, which ``verify`` and
+        ``graph`` both check: from the ranks, then corrected for each cell
+        by its net arc less the rank's."""
         u = _rank_scores(self.u_blocks, self.v_blocks)
         v = _rank_scores(self.v_blocks, self.u_blocks)
         for (i, j), state in self.cells:
@@ -101,14 +101,6 @@ class Realization:
             u[i] += net * y.size
             v[j] -= net * x.size
         return u, v
-
-    def scores(self) -> tuple[list[int], list[int]]:
-        """U- and V-scores in vertex order, from the layout, within the dense limit."""
-        _require_dense(self.m, self.n)
-        u, v = self._block_scores()
-        u_size = [b.size for b in self.u_blocks]
-        v_size = [b.size for b in self.v_blocks]
-        return np.repeat(u, u_size).tolist(), np.repeat(v, v_size).tolist()
 
     def verify(self) -> None:
         """Recompute every promise from the block scores; raise
@@ -153,10 +145,12 @@ class Realization:
         grid[u_rank < v_rank] = V_TO_U
         for cell, state in self.cells:
             grid[cell] = state
+        u_size = [b.size for b in self.u_blocks]
         v_size = [b.size for b in self.v_blocks]
-        rows = np.repeat(grid, [b.size for b in self.u_blocks], axis=0)  # one per U vertex
+        rows = np.repeat(grid, u_size, axis=0)  # one per U vertex
         g = BipartiteOrientedGraph.from_states(np.repeat(rows, v_size, axis=1))
-        if g.scores() != self.scores():
+        u, v = self._block_scores()
+        if g.scores() != (np.repeat(u, u_size).tolist(), np.repeat(v, v_size).tolist()):
             raise RealizationError("the dense graph does not score as its layout")
         return g
 
@@ -246,17 +240,16 @@ def _triple(a1: int, a2: int, a3: int) -> Layout:
 
 
 def _geometric(a: int, d: int, n: int) -> Layout:
-    """{a, a*d, ..., a*d**n} for integer ratio d >= 2."""
+    """{a, a*d, ..., a*d**n} for integer ratio d >= 2.  n <= 1 needs no
+    arc: one block a part, a x a for {a} and a*d x a for {a, a*d}."""
     if a < 1:
         raise ValueError("leading value must be positive")
     if d < 2:
         raise ValueError("ratio must be at least 2")
     if n < 0:
         raise ValueError("term count must be nonnegative")
-    if n == 0:
-        return _singleton(a)
-    if n == 1:
-        return _doubleton(a, a * d)
+    if n <= 1:
+        return (a, a * d)[: n + 1], [("X0", a * d**n, a, None)], [("Y0", a, a * d**n, None)], {}
     if d == 2:
         return _geometric_ratio2(a, n)
     return _geometric_layered(a, d, n)
@@ -308,7 +301,7 @@ def _arithmetic(a: int, d: int, n: int) -> Layout:
         raise ValueError("difference must be positive")
     if n < 0:
         raise ValueError("term count must be nonnegative")
-    if d > a:
+    if d > a or n == 0:
         return _arithmetic_wide(a, d, n)
     if d == a:
         return _arithmetic_equal(a, n)
@@ -316,8 +309,9 @@ def _arithmetic(a: int, d: int, n: int) -> Layout:
 
 
 def _arithmetic_wide(a: int, d: int, n: int) -> Layout:
-    """d > a: blocks 0..n on both parts, sizes alternating a and d - a;
-    a block's rank is its index.  Block i scores a + i*d."""
+    """d > a, or n == 0 for any d (no arc): blocks 0..n on both parts,
+    sizes alternating a and d - a; a block's rank is its index.  Block i
+    scores a + i*d."""
     width = [a if i % 2 == 0 else d - a for i in range(n + 1)]
     u = [(f"X{i}", width[i], a + i * d, i) for i in range(n + 1)]
     v = [(f"Y{i}", width[i], a + i * d, i) for i in range(n + 1)]
@@ -325,7 +319,7 @@ def _arithmetic_wide(a: int, d: int, n: int) -> Layout:
 
 
 def _arithmetic_equal(a: int, n: int) -> Layout:
-    """d == a, so the target is {a, 2a, ..., (n+1)a}.
+    """d == a, n >= 1, so the target is {a, 2a, ..., (n+1)a}.
 
     U holds block 0 plus the odd-indexed blocks up to 2k-1, V holds the
     even-indexed blocks (up to 2k-2 for odd n, 2k for even n), all of
@@ -333,8 +327,6 @@ def _arithmetic_equal(a: int, n: int) -> Layout:
     unranked and meets no arc; X0 scores k*a for odd n and (k+1)*a for
     even n, every other block with index i scores (i+1)*a.
     """
-    if n == 0:
-        return _singleton(a)
     k = (n + 1) // 2
     x0_score = k * a if n % 2 else (k + 1) * a
     odd, even = range(1, 2 * k, 2), range(0, n + 1, 2)
@@ -344,7 +336,7 @@ def _arithmetic_equal(a: int, n: int) -> Layout:
 
 
 def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
-    """d < a, n >= 2.  U holds block 0 (size a) plus odd-indexed blocks
+    """d < a, n >= 1.  U holds block 0 (size a) plus odd-indexed blocks
     of size d; V holds block 0 (size a) plus even-indexed blocks of
     size d up to 2k where k = n // 2.
 
@@ -354,12 +346,8 @@ def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
     Y_j beats X_i for j > i > 0.  That leaves X0 untouched at
     score a + k*d, X1 at a, X_i at a + i*d, the beaten slice of Y0 at
     a + d, the rest of Y0 at a + k*d (even n) or a + (k+1)*d (odd n),
-    and Y_j at a + j*d.
+    and Y_j at a + j*d.  For n == 1, X1 ties Y0_dominated: no arc.
     """
-    if n == 0:
-        return _singleton(a)
-    if n == 1:
-        return _doubleton(a, a + d)
     k = n // 2
     odd, even = range(1, n + 1, 2), range(2, n + 1, 2)
     u = [("X0", a, a + k * d, None)]

@@ -26,6 +26,14 @@ def block_sizes(blocks):
     return {b.label: b.size for b in blocks}
 
 
+def layout_scores(r):
+    """U- and V-scores in vertex order: each block score repeated by its size."""
+    return tuple(
+        [score for b, score in zip(blocks, scores) for _ in range(b.size)]
+        for blocks, scores in zip((r.u_blocks, r.v_blocks), r._block_scores())
+    )
+
+
 # ---------------------------------------------------------------- singleton
 
 
@@ -190,17 +198,21 @@ def test_geometric_layered_part_size_closed_form(a, d, n):
 
 
 def test_geometric_delegations():
+    # n <= 1 builds the arc-free graph of {a} or {a, a*d}, not the singleton's cycle
     r = build(Family("Geometric", (2, 3, 0)))
     assert (r.graph.m, r.graph.n) == (2, 2)
     assert r.graph.score_set() == ScoreSet((2,))
     assert r.family == Family("Geometric", (2, 3, 0))
+    assert r.cells == () and not r.graph.states.any()
     r = build(Family("Geometric", (2, 3, 1)))
     assert (r.graph.m, r.graph.n) == (6, 2)
     assert r.graph.score_set() == ScoreSet((2, 6))
     assert r.family == Family("Geometric", (2, 3, 1))
+    assert r.cells == () and not r.graph.states.any()
     r = build(Family("Geometric", (3, 2, 1)))
     assert r.graph.score_set() == ScoreSet((3, 6))
     assert r.family == Family("Geometric", (3, 2, 1))
+    assert r.cells == () and not r.graph.states.any()
 
 
 def test_geometric_rejects_bad_parameters():
@@ -283,6 +295,7 @@ def test_arithmetic_delegations():
         assert r.graph.score_set() == ScoreSet(values)
         assert (r.graph.m, r.graph.n) == shape
         assert r.family == Family("Arithmetic", params)
+        assert r.cells == () and not r.graph.states.any()
 
 
 def test_arithmetic_rejects_bad_parameters():
@@ -459,7 +472,7 @@ def test_above_the_dense_limit_only_the_exports_refuse():
     # {2,4,...,32770} is 16386 x 16386, just above the dense limit
     ladder = realize(ScoreSet(range(2, 32771, 2)))
     for r in (ladder, huge):
-        for export in (lambda: r.graph, r.scores, r.to_json, r.to_dot):
+        for export in (lambda: r.graph, r.to_json, r.to_dot):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match="dense limit"):
@@ -485,11 +498,14 @@ def test_above_the_dense_limit_only_the_exports_refuse():
     ],
 )
 def test_build_verifies_from_block_scores(values, monkeypatch):
-    # verify audits the blocks; it never asks for per-vertex scores
-    def per_vertex(self):
-        raise AssertionError("verify expanded per-vertex scores")
+    # verify audits the blocks; it never builds arrays of per-vertex scores
+    import scoresets.constructions as constructions
 
-    monkeypatch.setattr(Realization, "scores", per_vertex)
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"verify used numpy.{name}")
+
+    monkeypatch.setattr(constructions, "np", NoNumpy())
     r = realize(ScoreSet(values))
     r.verify()
     assert r.requested == ScoreSet(values)
@@ -603,8 +619,15 @@ def test_layout_scores_equal_dense_scores(values):
     # {1..12} has blocks of size 1
     r = realize(ScoreSet(values))
     g = r.graph
-    assert r.scores() == g.scores() == per_vertex_scores(g)
+    assert layout_scores(r) == g.scores() == per_vertex_scores(g)
     assert (r.m, r.n) == (g.m, g.n)
+
+
+@pytest.mark.parametrize("branch", sorted(GOLDEN))
+def test_only_singleton_and_doubleton_have_cells(branch):
+    # every other branch is a rank layout; only the singleton's cycle needs cells
+    values, _, _ = GOLDEN[branch]
+    assert bool(realize(ScoreSet(values)).cells) == (branch in ("singleton", "doubleton"))
 
 
 @st.composite
@@ -636,7 +659,7 @@ def rank_layouts(draw):
 def test_rank_layout_scores_equal_per_vertex_scores(layout):
     values, u, v, cells = layout
     r = Realization(_tile(u), _tile(v), tuple(cells.items()), ScoreSet(values), Family("Layout", ()))
-    assert r.scores() == per_vertex_scores(r.graph)
+    assert layout_scores(r) == per_vertex_scores(r.graph)
 
 
 # ------------------------------------------------- oracle cross-verification
