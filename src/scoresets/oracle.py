@@ -23,8 +23,9 @@ between min S and max S, and no score exceeds 2n in U or 2m in V.
 A graph with score set S has every U score and every V score in S.
 The score of U vertex u depends on row u alone (the digits u * n ..
 u * n + n - 1), that of V vertex v on column v alone; call a line kept
-if its own score is in S.  The states of a line of k pairs come from a
-table of 3**k entries, built once per process.
+if its own score is in S.  The states of the lines of the shorter side,
+k pairs each, come from one table of 3**k entries per shape, built once
+per process.
 
 Catalogs score only doubly sorted assignments.  Permuting the rows of
 a graph permutes its U scores and leaves its V scores as they are, so
@@ -143,20 +144,6 @@ class EnumerationSpace:
             raise ValueError("graph shape does not match this space")
         # the row-major states are the base-3 digits, least significant first
         return int(graph.states.ravel() @ _POWERS[: self.m * self.n])
-
-
-@functools.cache
-def _line_table(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Own score and net shares of every state 0 .. 3**length - 1 of a
-    row of ``length`` pairs, digit v the state of pair v: the row's U
-    score, and per pair +1 (u->v), -1 (v->u) or 0 (absent), which the
-    pair takes from its V score.  Both arrays are shared by every later
-    call, so they are read-only."""
-    nets = _NET[_digits(np.arange(3**length), length)]
-    scores = length + nets.sum(axis=1, dtype=np.int64)
-    for table in (scores, nets):
-        table.setflags(write=False)
-    return scores, nets
 
 
 def _set_masks(u_scores: np.ndarray, v_scores: np.ndarray) -> np.ndarray:
@@ -278,27 +265,6 @@ def _least_per_key(
     return keys[starts], np.minimum.reduceat(index, starts)
 
 
-@functools.cache
-def _tie_table(length: int) -> tuple[np.ndarray, ...]:
-    """How lines of ``length`` pairs extend a doubly sorted assignment:
-    ``allowed`` and ``after``, then their ``_steps``; all read-only.
-    Tie pattern t (``length - 1`` bits) has bit k set once cross lines k
-    and k + 1 are strictly ordered by the lines built so far.  Line state
-    s, digit k the state of its pair with cross line k, is allowed[t, s]
-    if its digits do not rise inside a run of tied cross lines, and it
-    leaves the pattern after[t, s]."""
-    digits = _digits(np.arange(3**length), length)
-    bits = 1 << np.arange(length - 1)
-    rises = (digits[:, :-1] < digits[:, 1:]) @ bits
-    falls = (digits[:, :-1] > digits[:, 1:]) @ bits
-    ties = np.arange(1 << (length - 1))[:, None]
-    allowed, after = (rises & ~ties) == 0, ties | falls
-    tables = (allowed, after, *_steps(allowed, after))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
 def _steps(allowed: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, ...]:
     """The steps of ``_doubly_sorted``.  A built line is known by its
     key t * 3**length + c: its state c and the tie pattern t after it.
@@ -339,32 +305,44 @@ def _doubly_sorted(
 
 
 @functools.cache
-def _shape_lines(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Own score and weights of each state of a line of the shorter
-    side of shape (m, n), both read-only.  weights[k, s] is what line k
-    in state s adds: its share of the index, then its share of each
-    cross line's score (the score of a cross line is the count of lines
-    minus their nets, the count added by line 0)."""
+def _shape_lines(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The lines of the shorter side of shape (m, n), all read-only:
+    each state's own score and weights, then ``allowed``, ``after`` and
+    their ``_steps``.  Digit k of state s is the state of its pair with
+    cross line k.  weights[k, s] is what line k in state s adds: its
+    share of the index, then its share of each cross line's score (the
+    score of a cross line is the count of lines minus their nets, the
+    count added by line 0).  Tie pattern t (``length - 1`` bits) has bit
+    k set once cross lines k and k + 1 are strictly ordered by the lines
+    built so far; state s is allowed[t, s] if its digits do not rise
+    inside a run of tied cross lines, and it leaves the pattern
+    after[t, s]."""
     count, length = max(m, n), min(m, n)
-    scores, nets = _line_table(length)
+    digits = _digits(np.arange(3**length), length)
+    # a row's net with each pair: +1 (u->v), -1 (v->u) or 0 (absent)
+    nets = _NET[digits]
+    scores = length + nets.sum(axis=1, dtype=np.int64)
     # row u weighs 3**(n*u) in the index, column v 3**v
     row_powers = _POWERS[: n * m : n]
     if n <= m:
         codes, scale = np.arange(scores.size), row_powers
     else:
-        # column state c, digit u the state of pair (u, v), has code digits @
-        # row_powers; its own score and nets are those of the state with 1s and 2s swapped
-        digits = _digits(np.arange(scores.size), m)
-        swap = (-digits % 3) @ _POWERS[:m]
+        # a column's nets are a row's negated, and its score 2 * length less
         codes, scale = digits @ row_powers, _POWERS[:n]
-        scores, nets = scores[swap], nets[swap]
+        scores, nets = 2 * length - scores, -nets
     weights = np.empty((count, scores.size, length + 1), dtype=np.int64)
     weights[..., 0] = scale[:, None] * codes
     weights[..., 1:] = -nets
     weights[0, :, 1:] += count
-    for table in (scores, weights):
+    bits = 1 << np.arange(length - 1)
+    rises = (digits[:, :-1] < digits[:, 1:]) @ bits
+    falls = (digits[:, :-1] > digits[:, 1:]) @ bits
+    ties = np.arange(1 << (length - 1))[:, None]
+    allowed, after = (rises & ~ties) == 0, ties | falls
+    tables = (scores, weights, allowed, after, *_steps(allowed, after))
+    for table in tables:
         table.setflags(write=False)
-    return scores, weights
+    return tables
 
 
 def _candidates(m: int, n: int, target: int = -1) -> Iterator[tuple[np.ndarray, ...]]:
@@ -373,10 +351,10 @@ def _candidates(m: int, n: int, target: int = -1) -> Iterator[tuple[np.ndarray, 
     shorter side are kept (own score in ``target``; -1 keeps all), in
     blocks whose int64 scores take at most ``_BLOCK`` entries.  Lines
     are built from the most significant down, each no less than the one
-    before it, with the tie patterns of ``_tie_table``."""
+    before it, with the tie patterns of ``_shape_lines``: one table per
+    shape, built once per process."""
     count = max(m, n)
-    scores, weights = _shape_lines(m, n)
-    allowed, after, *steps = _tie_table(min(m, n))
+    scores, weights, allowed, after, *steps = _shape_lines(m, n)
     if target != -1:
         steps = _steps(allowed & (target >> scores & 1).astype(bool), after)
     # before the first line every cross line is tied and any state is >= 0

@@ -111,17 +111,26 @@ def test_decode_takes_only_integer_indices():
 
 @pytest.mark.parametrize("length", range(1, 7))
 def test_line_table_scores_each_state_as_its_graph(length):
-    scores, nets = oracle._line_table(length)
-    assert scores.shape == (3**length,) and nets.shape == (3**length, length)
-    for state in range(3**length):
-        digits, rem = [], state
-        for _ in range(length):
-            rem, digit = divmod(rem, 3)
-            digits.append(digit)
-        u_scores, v_scores = BipartiteOrientedGraph.from_states(np.array([digits])).scores()
-        # each V vertex of a 1 x length graph starts at 1 and gives up its pair's net
-        assert scores[state] == u_scores[0]
-        assert nets[state].tolist() == [1 - score for score in v_scores]
+    # row lines at (length, length); column lines at (length, length + 1),
+    # the longest column in the oracle's range
+    shapes = [(length, n) for n in (length, length + 1) if length * n <= 39]
+    for m, n in shapes:
+        scores, weights, *_ = oracle._shape_lines(m, n)
+        count = max(m, n)
+        assert scores.shape == (3**length,) and weights.shape == (count, 3**length, length + 1)
+        for state in range(3**length):
+            digits, rem = [], state
+            for _ in range(length):
+                rem, digit = divmod(rem, 3)
+                digits.append(digit)
+            states = np.array([digits]) if n <= m else np.array([digits]).T
+            u_scores, v_scores = BipartiteOrientedGraph.from_states(states).scores()
+            own, cross = (u_scores[0], v_scores) if n <= m else (v_scores[0], u_scores)
+            assert scores[state] == own
+            # line 0 also adds the count of lines; each cross vertex of the
+            # one-line graph starts at 1 and takes its pair's share
+            shares = weights[:, state, 1:] - count * (np.arange(count) == 0)[:, None]
+            assert shares.tolist() == [[score - 1 for score in cross]] * count
 
 
 @pytest.mark.parametrize("m,n", [(31, 1), (1, 31)])
@@ -537,24 +546,20 @@ def test_search_blocks_keep_their_scores_within_the_block(monkeypatch):
 
 
 def test_line_tables_are_cached_and_read_only():
-    scores, nets = oracle._line_table(3)
-    assert oracle._line_table(3)[0] is scores
-    ties, lines = oracle._tie_table(3), oracle._shape_lines(3, 4)
-    assert oracle._tie_table(3)[0] is ties[0] and oracle._shape_lines(3, 4)[1] is lines[1]
-    for table in (scores, nets, *ties, *lines):
+    tables = oracle._shape_lines(3, 4)
+    assert all(a is b for a, b in zip(oracle._shape_lines(3, 4), tables))
+    for table in (*tables, *oracle._shape_lines(4, 3)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
-    # catalogs and searches share one table of each kind per line length
-    tables = (oracle._line_table, oracle._tie_table, oracle._shape_lines)
-    for table in tables:
-        table.cache_clear()
+    # catalogs and searches share one table per shape
+    oracle._shape_lines.cache_clear()
     values, witness = list(catalog_for_shape(3, 3).sets.items())[-1]
     assert oracle._first_by_lines(3, 3, oracle._mask_of(values)) == witness.index
-    assert [table.cache_info().misses for table in tables] == [1, 1, 1]
+    assert oracle._shape_lines.cache_info().misses == 1
 
 
 def test_bounded_search_never_scans(monkeypatch):
-    line_table, candidates = oracle._line_table, oracle._candidates
+    shape_lines, candidates = oracle._shape_lines, oracle._candidates
     generated = []
 
     def counting(*args):
@@ -562,12 +567,12 @@ def test_bounded_search_never_scans(monkeypatch):
             generated.append(block[0].size)
             yield block
 
-    def short_lines_only(length):
-        assert length <= 6, length
-        return line_table(length)
+    def short_lines_only(m, n):
+        assert min(m, n) <= 6, (m, n)
+        return shape_lines(m, n)
 
     monkeypatch.setattr(oracle, "_candidates", counting)
-    monkeypatch.setattr(oracle, "_line_table", short_lines_only)
+    monkeypatch.setattr(oracle, "_shape_lines", short_lines_only)
     # 1x16 and 16x1 are the only shapes admitted; a full scan of either
     # would score 3**16 assignments, doubly sorted ones of single-pair
     # lines at most C(18, 16); {0,1,2,29} keeps all three column states at 1x16
@@ -749,7 +754,7 @@ def test_shapes_beyond_int64_rejected_before_any_allocation(m, n, monkeypatch):
     def no_scan(*args):
         raise AssertionError("scan started")
 
-    for name in ("_doubly_sorted", "_shape_lines", "_tie_table", "_line_table"):
+    for name in ("_doubly_sorted", "_shape_lines"):
         monkeypatch.setattr(oracle, name, no_scan)
     monkeypatch.setattr(oracle.EnumerationSpace, "decode", no_scan)
     budget = 3 ** (m * n)  # the budget admits the shape; the int64 range does not
@@ -799,7 +804,7 @@ def test_catalog_for_shape_without_kinds_scans_nothing(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scan started")
 
-    for name in ("_doubly_sorted", "_shape_lines", "_tie_table", "_line_table"):
+    for name in ("_doubly_sorted", "_shape_lines"):
         monkeypatch.setattr(oracle, name, no_scan)
     for m, n in [(4, 4), (5, 4)]:  # 5x4 is over the budget: the flags are checked first
         with pytest.raises(ValueError, match="sets=True or pairs=True"):
