@@ -3,7 +3,6 @@
 from .graph_core import (
     ArcState,
     BipartiteOrientedGraph,
-    Block,
     ScoreSequencePair,
     ScoreSet,
 )
@@ -13,6 +12,7 @@ from .criteria import (
     check_oriented_scores,
 )
 from .constructions import (
+    Block,
     Family,
     Realization,
     RealizationError,

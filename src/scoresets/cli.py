@@ -16,7 +16,7 @@ import sys
 from itertools import combinations
 from typing import Sequence
 
-from .constructions import UnsupportedScoreSetError, realize
+from .constructions import UnsupportedScoreSetError, realize, spans
 from .graph_core import BipartiteOrientedGraph, ScoreSequencePair, ScoreSet
 from .criteria import check_bipartite_pair, check_oriented_scores
 from .oracle import (
@@ -174,16 +174,18 @@ def _cmd_realize(args: argparse.Namespace) -> int:
             f"score set {score_set}",
             f"family {realization.family.name}",
             f"m = {realization.m}, n = {realization.n}",
-            "U blocks: " + " ".join(_fmt_block(b) for b in realization.u_blocks),
-            "V blocks: " + " ".join(_fmt_block(b) for b in realization.v_blocks),
+            "U blocks: " + _fmt_blocks(realization.u_blocks),
+            "V blocks: " + _fmt_blocks(realization.v_blocks),
         ]
         text = "\n".join(lines) + "\n"
     _write(text, args.out)
     return 0
 
 
-def _fmt_block(block) -> str:
-    return f"{block.label}[{block.start}:{block.stop})={block.score}"
+def _fmt_blocks(blocks) -> str:
+    return " ".join(
+        f"{label}[{start}:{stop})={b.score}" for (label, start, stop), b in zip(spans(blocks), blocks)
+    )
 
 
 def _cmd_score(args: argparse.Namespace) -> int:

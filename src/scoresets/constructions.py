@@ -3,21 +3,23 @@
 Every construction is a block layout, and a Realization is that layout.
 ``build(Family(name, params))`` is the one way to get one, and it
 records the family.  A builder lists each part as a sequence of
-``(label, size, score, rank)`` blocks.  Of two ranked blocks, every
-vertex of the higher-ranked one has an arc to every vertex of the
-other; equal ranks, and blocks of rank ``None``, meet no arc.  Only the
-singleton's cycle X1 > Y1 > X2 > Y2 > X1, which the doubleton reuses,
-has no rank order; its arcs are ``cells``: ``{(u_block, v_block):
-state}`` by block index, each replacing the rank state of its block
-pair.  Partial dominations are separate blocks (``X1_dominated`` /
-``X1_rest``, ``Y0_dominated`` / ``Y0_rest``) placed first in their
-part, so only the lowest-indexed slice is dominated.  ``build`` tiles
-the blocks, keeping each block's rank, and verifies every layout before
-returning it, at any size.  ``_block_scores`` is the one layout scorer:
-a block's score is its opposite part's size plus the vertices of
-lower-ranked opposing blocks minus those of higher-ranked ones (one
-sorted sweep per part), corrected for each cell.  ``verify`` runs the
-sequence criterion over the (score, size) runs of the nonempty blocks
+``Block(label, size, score, rank)``, the one block type from builder to
+export.  A block stores no position: a part's blocks lie in order from
+vertex 0, and ``spans`` derives each one's ``(label, start, stop)``.  Of
+two ranked blocks, every vertex of the higher-ranked one has an arc to
+every vertex of the other; equal ranks, and blocks of rank ``None``,
+meet no arc.  Only the singleton's cycle X1 > Y1 > X2 > Y2 > X1, which
+the doubleton reuses, has no rank order; its arcs are ``cells``:
+``{(u_block, v_block): state}`` by block index, each replacing the rank
+state of its block pair.  Partial dominations are separate blocks
+(``X1_dominated`` / ``X1_rest``, ``Y0_dominated`` / ``Y0_rest``) placed
+first in their part, so only the lowest-indexed slice is dominated.
+``build`` verifies every layout before returning it, at any size.
+``_block_scores`` is the one layout scorer: a block's score is its
+opposite part's size plus the vertices of lower-ranked opposing blocks
+minus those of higher-ranked ones (one sorted sweep per part), corrected
+for each cell.  ``verify`` runs the sequence criterion over
+the (score, size) runs of the nonempty blocks
 (``check_bipartite_runs``), so the audit costs O(blocks log blocks).
 ``Realization.graph`` is the one place that expands a layout: it
 refuses layouts of more than ``2**28`` pairs (the dense limit) first,
@@ -34,21 +36,37 @@ raises UnsupportedScoreSetError for such inputs instead of guessing.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 from .criteria import check_bipartite_runs
-from .graph_core import _NET, ArcState, BipartiteOrientedGraph, Block, ScoreSet
+from .graph_core import _NET, ArcState, BipartiteOrientedGraph, ScoreSet
 from .graph_core import _require_dense
 
 U_TO_V, V_TO_U = ArcState.U_TO_V, ArcState.V_TO_U
 
-# (label, size, score, rank) of one block
-Part = list[tuple[str, int, int, int | None]]
+
+@dataclass(frozen=True)
+class Block:
+    """``size`` vertices of one part, each expected to score ``score``.
+    Every vertex of a block beats every vertex of each opposing block of
+    lower ``rank``; ``None`` ranks below and above nothing."""
+
+    label: str
+    size: int
+    score: int
+    rank: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.size < 0:
+            raise ValueError(f"block {self.label} has negative size {self.size}")
+
+
 # requested values, U blocks, V blocks, cells outside the rank rule
-Layout = tuple[tuple[int, ...], Part, Part, dict[tuple[int, int], ArcState]]
+Layout = tuple[tuple[int, ...], list[Block], list[Block], dict[tuple[int, int], ArcState]]
 
 
 class UnsupportedScoreSetError(ValueError):
@@ -82,11 +100,11 @@ class Realization:
 
     @property
     def m(self) -> int:
-        return self.u_blocks[-1].stop
+        return sum(b.size for b in self.u_blocks)
 
     @property
     def n(self) -> int:
-        return self.v_blocks[-1].stop
+        return sum(b.size for b in self.v_blocks)
 
     def _block_scores(self) -> tuple[list[int], list[int]]:
         """The score of each U block and each V block, which ``verify`` and
@@ -107,15 +125,8 @@ class Realization:
         RealizationError on mismatch.  No per-vertex score is expanded."""
         runs = []  # per part: vertices of each score
         for part, blocks, got in zip("UV", (self.u_blocks, self.v_blocks), self._block_scores()):
-            pos = 0
             sizes: dict[int, int] = {}
             for blk, score in zip(blocks, got):
-                if blk.start != pos:
-                    raise RealizationError(
-                        f"{part} blocks do not tile the part: {blk.label} starts "
-                        f"at {blk.start}, expected {pos}"
-                    )
-                pos = blk.stop
                 if blk.size:
                     if score != blk.score:
                         raise RealizationError(
@@ -155,10 +166,17 @@ class Realization:
         return g
 
     def to_json(self) -> str:
-        return self.graph.to_json(blocks=(self.u_blocks, self.v_blocks))
+        return self.graph.to_json(blocks=(spans(self.u_blocks), spans(self.v_blocks)))
 
     def to_dot(self) -> str:
-        return self.graph.to_dot(blocks=(self.u_blocks, self.v_blocks))
+        return self.graph.to_dot(blocks=(spans(self.u_blocks), spans(self.v_blocks)))
+
+
+def spans(blocks: Sequence[Block]) -> list[tuple[str, int, int]]:
+    """The ``(label, start, stop)`` of each block of a part, its vertex
+    range ``[start, stop)``: the blocks lie in order from vertex 0."""
+    stops = accumulate(b.size for b in blocks)
+    return [(b.label, stop - b.size, stop) for b, stop in zip(blocks, stops)]
 
 
 def _rank_scores(blocks: tuple[Block, ...], opposing: tuple[Block, ...]) -> list[int]:
@@ -168,22 +186,13 @@ def _rank_scores(blocks: tuple[Block, ...], opposing: tuple[Block, ...]) -> list
     ranked = sorted((b.rank, b.size) for b in opposing if b.rank is not None)
     ranks = [rank for rank, _ in ranked]
     below = list(accumulate((size for _, size in ranked), initial=0))  # of the k lowest
-    part, top = opposing[-1].stop, below[-1]
+    part, top = sum(b.size for b in opposing), below[-1]
     return [
         part
         if b.rank is None
         else part + below[bisect_left(ranks, b.rank)] - top + below[bisect_right(ranks, b.rank)]
         for b in blocks
     ]
-
-
-def _tile(part: Part) -> tuple[Block, ...]:
-    blocks = []
-    pos = 0
-    for label, size, score, rank in part:
-        blocks.append(Block(label, pos, pos + size, score, rank))
-        pos += size
-    return tuple(blocks)
 
 
 def _singleton(a: int) -> Layout:
@@ -197,8 +206,8 @@ def _singleton(a: int) -> Layout:
     if a < 1:
         raise ValueError("singleton score must be positive; {0} is not realizable")
     half, odd = divmod(a, 2)
-    u = [("X1", half, a, None), ("X2", half, a, None)] + [("x", 1, a, None)] * odd
-    v = [("Y1", half, a, None), ("Y2", half, a, None)] + [("y", 1, a, None)] * odd
+    u = [Block("X1", half, a), Block("X2", half, a)] + [Block("x", 1, a)] * odd
+    v = [Block("Y1", half, a), Block("Y2", half, a)] + [Block("y", 1, a)] * odd
     cells = {(0, 0): U_TO_V, (1, 1): U_TO_V, (1, 0): V_TO_U, (0, 1): V_TO_U}
     return (a,), u, v, cells
 
@@ -213,8 +222,8 @@ def _doubleton(a1: int, a2: int) -> Layout:
     if a2 <= a1:
         raise ValueError(f"need a1 < a2, got {a1} >= {a2}")
     _, u, v, cells = _singleton(a1)
-    u.append(("X", a2 - a1, a1, None))
-    return (a1, a2), u, [(label, size, a2, rank) for label, size, _, rank in v], cells
+    u.append(Block("X", a2 - a1, a1))
+    return (a1, a2), u, [replace(b, score=a2) for b in v], cells
 
 
 def _triple(a1: int, a2: int, a3: int) -> Layout:
@@ -230,12 +239,12 @@ def _triple(a1: int, a2: int, a3: int) -> Layout:
     if not a1 < a2 < a3:
         raise ValueError(f"need a1 < a2 < a3, got {(a1, a2, a3)}")
     if a3 > 2 * a2:
-        u = [("X1", a2, a1, 1), ("X2", a3 - 2 * a2, a3, 2)]
-        v = [("Y1", a1, a2, 1), ("Y2", a3 - 2 * a1, a3, 2)]
+        u = [Block("X1", a2, a1, 1), Block("X2", a3 - 2 * a2, a3, 2)]
+        v = [Block("Y1", a1, a2, 1), Block("Y2", a3 - 2 * a1, a3, 2)]
     else:
         beaten = a3 - a2  # >= 1 and <= a2 because a2 < a3 <= 2*a2
-        u = [("X1_dominated", beaten, a1, 1), ("X1_rest", a2 - beaten, a2, None)]
-        v = [("Y1", a1, a2, None), ("Y2", a2 - a1, a3, 2)]
+        u = [Block("X1_dominated", beaten, a1, 1), Block("X1_rest", a2 - beaten, a2)]
+        v = [Block("Y1", a1, a2), Block("Y2", a2 - a1, a3, 2)]
     return (a1, a2, a3), u, v, {}
 
 
@@ -249,7 +258,7 @@ def _geometric(a: int, d: int, n: int) -> Layout:
     if n < 0:
         raise ValueError("term count must be nonnegative")
     if n <= 1:
-        return (a, a * d)[: n + 1], [("X0", a * d**n, a, None)], [("Y0", a, a * d**n, None)], {}
+        return (a, a * d)[: n + 1], [Block("X0", a * d**n, a)], [Block("Y0", a, a * d**n)], {}
     if d == 2:
         return _geometric_ratio2(a, n)
     return _geometric_layered(a, d, n)
@@ -263,14 +272,14 @@ def _geometric_layered(a: int, d: int, n: int) -> Layout:
     side: old scores are unchanged (the layer adds equally to the other
     part's size and to indegrees) and the layer itself scores a * d**e.
     """
-    u = [("X1", a, a, 0), ("X2", a * d - 2 * a, a * d, 1)]
-    v = [("Y1", a, a, 0), ("Y2", a * d - 2 * a, a * d, 1)]
+    u = [Block("X1", a, a, 0), Block("X2", a * d - 2 * a, a * d, 1)]
+    v = [Block("Y1", a, a, 0), Block("Y2", a * d - 2 * a, a * d, 1)]
     part = a * d - a  # current size of each part
     for e in range(2, n + 1):
         target = a * d**e
         size = target - 2 * part
-        u.append((f"X_layer{e}", size, target, e))
-        v.append((f"Y_layer{e}", size, target, e))
+        u.append(Block(f"X_layer{e}", size, target, e))
+        v.append(Block(f"Y_layer{e}", size, target, e))
         part = target - part
     return tuple(a * d**i for i in range(n + 1)), u, v, {}
 
@@ -288,8 +297,8 @@ def _geometric_ratio2(a: int, n: int) -> Layout:
     for i in range(3, n + 1):
         size[i] = 2**i * a - 2 * acc
         acc += size[i]
-    u = [(f"X{i}", size[i], 2**i * a, i) for i in (0, 1, *range(3, n + 1))]
-    v = [(f"Y{j}", size[j], 2**j * a, j) for j in (0, 2, *range(3, n + 1))]
+    u = [Block(f"X{i}", size[i], 2**i * a, i) for i in (0, 1, *range(3, n + 1))]
+    v = [Block(f"Y{j}", size[j], 2**j * a, j) for j in (0, 2, *range(3, n + 1))]
     return tuple(a * 2**i for i in range(n + 1)), u, v, {}
 
 
@@ -313,8 +322,8 @@ def _arithmetic_wide(a: int, d: int, n: int) -> Layout:
     sizes alternating a and d - a; a block's rank is its index.  Block i
     scores a + i*d."""
     width = [a if i % 2 == 0 else d - a for i in range(n + 1)]
-    u = [(f"X{i}", width[i], a + i * d, i) for i in range(n + 1)]
-    v = [(f"Y{i}", width[i], a + i * d, i) for i in range(n + 1)]
+    u = [Block(f"X{i}", width[i], a + i * d, i) for i in range(n + 1)]
+    v = [Block(f"Y{i}", width[i], a + i * d, i) for i in range(n + 1)]
     return tuple(a + i * d for i in range(n + 1)), u, v, {}
 
 
@@ -330,8 +339,8 @@ def _arithmetic_equal(a: int, n: int) -> Layout:
     k = (n + 1) // 2
     x0_score = k * a if n % 2 else (k + 1) * a
     odd, even = range(1, 2 * k, 2), range(0, n + 1, 2)
-    u = [("X0", a, x0_score, None)] + [(f"X{i}", a, (i + 1) * a, i) for i in odd]
-    v = [(f"Y{j}", a, (j + 1) * a, j) for j in even]
+    u = [Block("X0", a, x0_score)] + [Block(f"X{i}", a, (i + 1) * a, i) for i in odd]
+    v = [Block(f"Y{j}", a, (j + 1) * a, j) for j in even]
     return tuple(a * (i + 1) for i in range(n + 1)), u, v, {}
 
 
@@ -350,11 +359,11 @@ def _arithmetic_narrow(a: int, d: int, n: int) -> Layout:
     """
     k = n // 2
     odd, even = range(1, n + 1, 2), range(2, n + 1, 2)
-    u = [("X0", a, a + k * d, None)]
-    u += [(f"X{i}", d, a if i == 1 else a + i * d, i) for i in odd]
+    u = [Block("X0", a, a + k * d)]
+    u += [Block(f"X{i}", d, a if i == 1 else a + i * d, i) for i in odd]
     y0_rest_score = a + k * d if n % 2 == 0 else a + (k + 1) * d
-    v = [("Y0_dominated", d, a + d, 1), ("Y0_rest", a - d, y0_rest_score, None)]
-    v += [(f"Y{j}", d, a + j * d, j) for j in even]
+    v = [Block("Y0_dominated", d, a + d, 1), Block("Y0_rest", a - d, y0_rest_score)]
+    v += [Block(f"Y{j}", d, a + j * d, j) for j in even]
     return tuple(a + i * d for i in range(n + 1)), u, v, {}
 
 
@@ -398,10 +407,9 @@ def classify(score_set: ScoreSet) -> Family:
 
 
 def build(family: Family) -> Realization:
-    """Dispatch a classified family to its builder, tile both parts and
-    verify the layout."""
+    """Dispatch a classified family to its builder and verify the layout."""
     values, u, v, cells = _BUILDERS[family.name](*family.params)
-    result = Realization(_tile(u), _tile(v), tuple(cells.items()), ScoreSet(values), family)
+    result = Realization(tuple(u), tuple(v), tuple(cells.items()), ScoreSet(values), family)
     result.verify()
     return result
 

@@ -9,6 +9,8 @@ U-scores lie in [0, 2n] and V-scores in [0, 2m].
 ``to_json`` and ``to_dot`` format each distinct row of arc states once per
 call, as a template with NUL for the row index, and fill it in for every
 row with those states (block-built graphs have few); none outlives the call.
+Given ``blocks``, both annotate labeled vertex ranges: ``(label, start,
+stop)`` triples per part, which is all of a block the exports print.
 
 ``from_json`` reads a document in exactly ``to_json``'s layout (JSON
 whitespace around it allowed) in bands of about 128 KiB of text, as numpy
@@ -35,31 +37,6 @@ class ArcState(IntEnum):
     ABSENT = 0
     U_TO_V = 1
     V_TO_U = 2
-
-
-@dataclass(frozen=True)
-class Block:
-    """Contiguous vertex index range [start, stop) within one part whose
-    every vertex is expected to score ``score``.  In a construction, every
-    vertex of a block beats every vertex of each opposing block of lower
-    ``rank``; ``None`` ranks below and above nothing."""
-
-    label: str
-    start: int
-    stop: int
-    score: int
-    rank: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.stop < self.start:
-            raise ValueError(f"bad block range [{self.start}, {self.stop})")
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-    def indices(self) -> range:
-        return range(self.start, self.stop)
 
 
 @dataclass(frozen=True)
@@ -114,6 +91,8 @@ class ScoreSet:
         return "{" + ",".join(str(v) for v in self.values) + "}"
 
 
+# the labeled vertex ranges [start, stop) of each part, which the exports print
+Spans = tuple[Sequence[tuple[str, int, int]], Sequence[tuple[str, int, int]]]
 # indexed by ArcState: the pair's net share of its U-vertex's score
 _NET = np.array([0, 1, -1], dtype=np.int8)
 _DIR_STATES = {"uv": 1, "vu": 2}
@@ -230,13 +209,16 @@ class BipartiteOrientedGraph:
         present = len(self._arcs) - self._arcs.count(0)
         return f"BipartiteOrientedGraph(m={self.m}, n={self.n}, arcs={present})"
 
-    def to_json(self, *, blocks: tuple[Sequence[Block], Sequence[Block]] | None = None) -> str:
+    def to_json(self, *, blocks: Spans | None = None) -> str:
         """Serialize to the canonical JSON document (absent pairs omitted),
-        with the U and V block lists when ``blocks`` is given."""
+        with the U and V block lists when ``blocks`` gives each part's
+        ``(label, start, stop)`` triples."""
         tail = "]}"
         if blocks is not None:
-            u_blocks, v_blocks = blocks
-            doc = {"U": [_block_doc(b) for b in u_blocks], "V": [_block_doc(b) for b in v_blocks]}
+            doc = {
+                part: [{"label": label, "from": start, "to": stop} for label, start, stop in ranges]
+                for part, ranges in zip("UV", blocks)
+            }
             tail = '],"blocks":' + json.dumps(doc, separators=(",", ":")) + "}"
         arcs = ",".join(self._arc_rows(_JSON_ARCS, ","))  # row texts freed before the join
         return "".join([f'{{"m":{self.m},"n":{self.n},"arcs":[', arcs, tail])
@@ -325,12 +307,12 @@ class BipartiteOrientedGraph:
             buf[pos] = state
         return cls.from_states(np.frombuffer(buf, dtype=np.uint8).reshape(m, n))
 
-    def to_dot(self, *, blocks: tuple[Sequence[Block], Sequence[Block]] | None = None) -> str:
-        """Graphviz rendering with clusters for the two parts; nodes of
-        ``blocks`` carry their block label."""
+    def to_dot(self, *, blocks: Spans | None = None) -> str:
+        """Graphviz rendering with clusters for the two parts; the nodes of
+        each ``(label, start, stop)`` triple of ``blocks`` carry its label."""
         lines = ["digraph {"]
         for part, size, part_blocks in zip("UV", (self.m, self.n), blocks or ((), ())):
-            label = {i: b.label for b in part_blocks for i in b.indices()}
+            label = {i: name for name, start, stop in part_blocks for i in range(start, stop)}
             lines += [f"  subgraph cluster_{part} {{", f'    label="{part}";']
             lines += [_node_line(part.lower(), i, label.get(i)) for i in range(size)]
             lines.append("  }")
@@ -388,10 +370,6 @@ def _read_arc_band(band: str, m: int, n: int) -> tuple[np.ndarray, np.ndarray] |
         return None
     states = np.frombuffer(skeleton, dtype=np.uint8)[_DIR :: len(_ARC)] - (_U - 1)
     return (u * n + v).astype(np.int32), states
-
-
-def _block_doc(block: Block) -> dict:
-    return {"label": block.label, "from": block.start, "to": block.stop}
 
 
 def _node_line(prefix: str, index: int, label: str | None) -> str:

@@ -374,6 +374,14 @@ def test_conjecture_scan_checks_bounds_before_output(capsys, argv, code):
     assert run(capsys, "conjecture-scan", *argv)[:2] == (code, "")
 
 
+def test_conjecture_scan_refuses_max_value_below_1(capsys):
+    assert run(capsys, "conjecture-scan", "--max-value", "0", "--max-m", "2", "--max-n", "2") == (
+        1,
+        "",
+        "error: --max-value must be at least 1\n",
+    )
+
+
 def test_unknown_command_and_flags_exit_1(capsys):
     code, _, err = run(capsys, "no-such-command")
     assert code == 1 and "error" in err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import per_vertex_scores
 from scoresets.constructions import (
-    _tile,
+    Block,
     Family,
     Realization,
     RealizationError,
@@ -16,6 +16,7 @@ from scoresets.constructions import (
     build,
     classify,
     realize,
+    spans,
 )
 from scoresets.criteria import check_bipartite_pair
 from scoresets.graph_core import ArcState, BipartiteOrientedGraph, ScoreSet
@@ -278,7 +279,7 @@ def test_arithmetic_narrow_partial_domination_targets_lowest():
     r = build(Family("Arithmetic", (3, 1, 4)))  # k=2, X3 exists and beats one Y0 vertex
     g = r.graph
     x3 = next(b for b in r.u_blocks if b.label == "X3")
-    u = x3.start
+    u = next(start for label, start, _ in spans(r.u_blocks) if label == "X3")
     assert g.arc(u, 0) is ArcState.U_TO_V
     assert g.arc(u, 1) is ArcState.ABSENT
     assert g.arc(u, 2) is ArcState.ABSENT
@@ -427,12 +428,39 @@ def test_build_verifies_the_layout(monkeypatch):
 
     def overpromising(a1, a2, a3):  # promises X1 one point above what it scores
         requested, u, v, cells = constructions._triple(a1, a2, a3)
-        label, size, score, rank = u[0]
-        return requested, [(label, size, score + 1, rank), *u[1:]], v, cells
+        return requested, [replace(u[0], score=u[0].score + 1), *u[1:]], v, cells
 
     monkeypatch.setitem(constructions._BUILDERS, "Triple", overpromising)
     with pytest.raises(RealizationError, match="block X1 scores 1, expected 2"):
         build(Family("Triple", (1, 2, 5)))
+
+
+def test_verify_refuses_a_layout_of_another_score_set(monkeypatch):
+    import scoresets.constructions as constructions
+
+    def mislabeled(a1, a2, a3):  # says {1,2,6}, its blocks realize {1,2,5}
+        _, u, v, cells = constructions._triple(1, 2, 5)
+        return (a1, a2, a3), u, v, cells
+
+    monkeypatch.setitem(constructions._BUILDERS, "Triple", mislabeled)
+    with pytest.raises(RealizationError, match=r"^score set is \{1,2,5\}, requested \{1,2,6\}$"):
+        build(Family("Triple", (1, 2, 6)))
+
+
+def test_realize_refuses_a_build_of_another_score_set(monkeypatch):
+    import scoresets.constructions as constructions
+
+    monkeypatch.setattr(constructions, "classify", lambda score_set: Family("Triple", (1, 2, 6)))
+    with pytest.raises(
+        RealizationError, match=r"^builder realized \{1,2,6\}, caller asked for \{1,2,5\}$"
+    ):
+        realize(ScoreSet((1, 2, 5)))
+
+
+def test_block_refuses_a_negative_size():
+    assert Block("X", 0, 3).size == 0
+    with pytest.raises(ValueError, match="^block X has negative size -1$"):
+        Block("X", -1, 3)
 
 
 def test_verify_words_the_criterion_violation(monkeypatch):
@@ -639,7 +667,7 @@ def rank_layouts(draw):
     def part(prefix):
         sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(any))
         ranks = st.none() | st.integers(0, 3)
-        return [(f"{prefix}{i}", size, 0, draw(ranks)) for i, size in enumerate(sizes)]
+        return [Block(f"{prefix}{i}", size, 0, draw(ranks)) for i, size in enumerate(sizes)]
 
     u, v = part("X"), part("Y")
     pairs = st.tuples(st.integers(0, len(u) - 1), st.integers(0, len(v) - 1))
@@ -651,14 +679,14 @@ def rank_layouts(draw):
 @example(  # a tie, an empty ranked block, a cell over a ranked and one over an unranked pair
     (
         (1,),
-        [("X0", 2, 0, 1), ("X1", 0, 0, 3), ("X2", 1, 0, None)],
-        [("Y0", 1, 0, 1), ("Y1", 3, 0, 0), ("Y2", 0, 0, 2)],
+        [Block("X0", 2, 0, 1), Block("X1", 0, 0, 3), Block("X2", 1, 0, None)],
+        [Block("Y0", 1, 0, 1), Block("Y1", 3, 0, 0), Block("Y2", 0, 0, 2)],
         {(0, 1): ArcState.V_TO_U, (2, 0): ArcState.U_TO_V},
     )
 )
 def test_rank_layout_scores_equal_per_vertex_scores(layout):
     values, u, v, cells = layout
-    r = Realization(_tile(u), _tile(v), tuple(cells.items()), ScoreSet(values), Family("Layout", ()))
+    r = Realization(tuple(u), tuple(v), tuple(cells.items()), ScoreSet(values), Family("Layout", ()))
     assert layout_scores(r) == per_vertex_scores(r.graph)
 
 

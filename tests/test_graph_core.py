@@ -12,7 +12,6 @@ from scoresets import graph_core
 from scoresets.graph_core import (
     ArcState,
     BipartiteOrientedGraph,
-    Block,
     ScoreSequencePair,
     ScoreSet,
 )
@@ -301,7 +300,7 @@ def test_to_json_output_is_read_in_bands(monkeypatch):
     # 120x120 with every pair set: 14,400 arcs, more than one band
     full = graph_of([[1 + (u * v) % 2 for v in range(120)] for u in range(120)])
     samples = [(graph_of(SHAPED_GRAPHS[name]), None) for name in sorted(SHAPED_GRAPHS)]
-    samples += [(full, None), (full, ([Block("X0", 0, 120, 7)], []))]
+    samples += [(full, None), (full, ([("X0", 0, 120)], []))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for g, blocks in samples:
@@ -309,6 +308,26 @@ def test_to_json_output_is_read_in_bands(monkeypatch):
             assert BipartiteOrientedGraph.from_json(text) == g
             assert BipartiteOrientedGraph.from_json(f" \n{text}\r\n\t") == g
     assert len(full.to_json()) > 2 * graph_core._BAND
+
+
+def test_band_without_an_arc_cut_goes_to_the_general_reader(monkeypatch):
+    # "}, {" between arcs: no band of this text has a "},{" cut to end on
+    full = graph_of([[1 + (u * v) % 2 for v in range(120)] for u in range(120)])
+    text = full.to_json().replace("},{", "}, {")
+    assert len(text) > 2 * graph_core._BAND and "},{" not in text
+
+    def no_band(band, m, n):
+        raise AssertionError("a band was read without a cut")
+
+    monkeypatch.setattr(graph_core, "_read_arc_band", no_band)
+    assert BipartiteOrientedGraph._from_bands(text) is None
+    read = []
+    from_doc = BipartiteOrientedGraph._from_doc.__func__
+    monkeypatch.setattr(
+        BipartiteOrientedGraph, "_from_doc", classmethod(lambda cls, t: read.append(t) or from_doc(cls, t))
+    )
+    assert BipartiteOrientedGraph.from_json(text) == full
+    assert read == [text]
 
 
 def reference_arcs(g):
@@ -328,7 +347,7 @@ def reference_json(g, u_blocks, v_blocks):
     doc = {"m": g.m, "n": g.n, "arcs": arcs}
     if u_blocks is not None or v_blocks is not None:
         doc["blocks"] = {
-            part: [{"label": b.label, "from": b.start, "to": b.stop} for b in blocks or ()]
+            part: [{"label": label, "from": start, "to": stop} for label, start, stop in blocks or ()]
             for part, blocks in (("U", u_blocks), ("V", v_blocks))
         }
     return json.dumps(doc, separators=(",", ":"))
@@ -337,7 +356,7 @@ def reference_json(g, u_blocks, v_blocks):
 def reference_dot(g, u_blocks, v_blocks):
     lines = ["digraph {"]
     for part, prefix, size, blocks in (("U", "u", g.m, u_blocks), ("V", "v", g.n, v_blocks)):
-        labels = {i: b.label for b in blocks or () for i in b.indices()}
+        labels = {i: label for label, start, stop in blocks or () for i in range(start, stop)}
         lines += [f"  subgraph cluster_{part} {{", f'    label="{part}";']
         for i in range(size):
             name = f"{prefix}{i}"
@@ -354,15 +373,12 @@ def reference_dot(g, u_blocks, v_blocks):
 
 @st.composite
 def block_lists(draw, size, prefix):
-    """None, or consecutive blocks over a subrange of [0, size)."""
+    """None, or consecutive (label, start, stop) blocks over a subrange of [0, size)."""
     if draw(st.booleans()):
         return None
     cuts = sorted(draw(st.sets(st.integers(0, size), max_size=size + 1)))
     labels = st.text(alphabet="XYé\"1", min_size=1, max_size=3)
-    return [
-        Block(f"{prefix}{draw(labels)}", lo, hi, draw(st.integers(0, 12)))
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
+    return [(f"{prefix}{draw(labels)}", lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def graph_of(rows):
@@ -408,8 +424,8 @@ SHAPED_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(SHAPED_GRAPHS))
 def test_serialization_matches_reference_at_shaped_graphs(name):
     g = graph_of(SHAPED_GRAPHS[name])
-    u_blocks = [Block("X0", 0, 1, 2), Block("X1", 1, g.m, 3)]
-    v_blocks = [Block("Y0", 0, g.n, 4)]
+    u_blocks = [("X0", 0, 1), ("X1", 1, g.m)]
+    v_blocks = [("Y0", 0, g.n)]
     for blocks in (None, (u_blocks, v_blocks)):
         expected = (None, None) if blocks is None else blocks
         text = g.to_json(blocks=blocks)
@@ -421,7 +437,7 @@ def test_serialization_matches_reference_at_shaped_graphs(name):
 def test_json_blocks_follow_schema():
     g = BipartiteOrientedGraph(2, 1)
     doc = json.loads(
-        g.to_json(blocks=([Block("X1", 0, 2, 5)], [Block("Y1", 0, 1, 5)]))
+        g.to_json(blocks=([("X1", 0, 2)], [("Y1", 0, 1)]))
     )
     assert doc["blocks"] == {
         "U": [{"label": "X1", "from": 0, "to": 2}],
@@ -451,7 +467,7 @@ def test_dot_is_deterministic():
 
 def test_dot_block_labels():
     g = BipartiteOrientedGraph(2, 1)
-    text = g.to_dot(blocks=([Block("X1", 0, 2, 3)], []))
+    text = g.to_dot(blocks=([("X1", 0, 2)], []))
     assert 'u0 [label="u0\\nX1"];' in text
 
 

@@ -102,6 +102,11 @@ def test_decode_rejects_out_of_range():
         space.decode(-1)
 
 
+def test_encode_refuses_a_graph_of_another_shape():
+    with pytest.raises(ValueError, match="graph shape does not match this space"):
+        EnumerationSpace(2, 2).encode(BipartiteOrientedGraph(1, 1))
+
+
 def test_decode_takes_only_integer_indices():
     space = EnumerationSpace(2, 2)
     with pytest.raises(TypeError):
