@@ -18,9 +18,10 @@ first in their part, so only the lowest-indexed slice is dominated.
 ``_block_scores`` is the one layout scorer: a block's score is its
 opposite part's size plus the vertices of lower-ranked opposing blocks
 minus those of higher-ranked ones (one sorted sweep per part), corrected
-for each cell.  ``verify`` runs the sequence criterion over
-the (score, size) runs of the nonempty blocks
-(``check_bipartite_runs``), so the audit costs O(blocks log blocks).
+for each cell.  ``verify`` runs the sequence criterion
+(``check_bipartite_runs``) over one (score, size) run per nonempty
+block, sorted but not merged: blocks of one score become consecutive
+runs of one value.  The audit costs O(blocks log blocks).
 ``Realization.graph`` is the one place that expands a layout: it
 refuses layouts of more than ``2**28`` pairs (the dense limit) first,
 then builds a new graph on every access and checks its scores against
@@ -123,17 +124,14 @@ class Realization:
     def verify(self) -> None:
         """Recompute every promise from the block scores; raise
         RealizationError on mismatch.  No per-vertex score is expanded."""
-        runs = []  # per part: vertices of each score
+        runs = []  # per part: one (score, size) run per nonempty block
         for part, blocks, got in zip("UV", (self.u_blocks, self.v_blocks), self._block_scores()):
-            sizes: dict[int, int] = {}
             for blk, score in zip(blocks, got):
-                if blk.size:
-                    if score != blk.score:
-                        raise RealizationError(
-                            f"{part} block {blk.label} scores {score}, expected {blk.score}"
-                        )
-                    sizes[score] = sizes.get(score, 0) + blk.size
-            runs.append(sorted(sizes.items()))
+                if blk.size and score != blk.score:
+                    raise RealizationError(
+                        f"{part} block {blk.label} scores {score}, expected {blk.score}"
+                    )
+            runs.append(sorted((score, blk.size) for blk, score in zip(blocks, got) if blk.size))
         got_set = ScoreSet.from_values(score for part in runs for score, _ in part)
         if got_set != self.requested:
             raise RealizationError(f"score set is {got_set}, requested {self.requested}")

@@ -13,16 +13,18 @@ Two checks:
 
 Both return the first failed constraint as a ``Violation``, or ``None``
 when the sequences pass.  ``check_bipartite_runs`` decides the bipartite
-check over runs of equal values, ``(value, count)`` pairs, in O(runs);
-``check_bipartite_pair`` encodes its sequences as runs and runs the same
-sweep.
+check over ``(value, count)`` runs with nondecreasing values, in O(runs);
+a value may span consecutive runs.  ``check_bipartite_pair`` encodes its
+sequences as runs of equal values and runs the same sweep.
 Write A_p = sum(a[:p]), B_q = sum(b[:q]) and f(p, q) = A_p + B_q - 2pq.
 For fixed p, B_q - 2pq falls while the q-th entry of b is at most 2p and
 rises after, so its minimum over q >= 1 sits at q* = max(1, #{b <= 2p}),
 a count that only grows with p.  Inside a run of a, A_p is linear in p,
 so every f(p, q) is linear in p there and g(p) = min_q f(p, q) is
 concave on the run, counting the end of the run before it (at p = 0, g
-is the least entry of b, which is nonnegative).  A concave function is
+is the least entry of b, which is nonnegative).  Nothing here needs the
+runs' values to differ: a run split in two is two runs, g is concave on
+each, and the sweep finds the same witness.  A concave function is
 smallest at an end of its interval, so checking g at every run end of a,
 with one pointer over the runs of b, decides pass or fail.  Only after a
 failure is the witness looked for.  In the failing run the failing p
@@ -98,17 +100,14 @@ def check_bipartite_runs(
     a_runs: Sequence[tuple[int, int]], b_runs: Sequence[tuple[int, int]]
 ) -> Violation | None:
     """The bipartite check of the sequences that repeat each ``value``
-    ``count`` times, given as ``(value, count)`` runs with strictly
-    increasing nonnegative values and positive counts; the indices of a
-    ``Violation`` are those of the repeated sequences."""
+    ``count`` times, given as ``(value, count)`` runs with nondecreasing
+    nonnegative values and positive counts, where a value may span
+    consecutive runs; the indices of a ``Violation`` are those of the
+    repeated sequences."""
     for name, runs in (("a", a_runs), ("b", b_runs)):
-        values, counts = zip(*runs) if runs else ((), ())
-        if (not runs or values[0] < 0 or min(counts) < 1
-                or not all(map(operator.lt, values, values[1:]))):
-            raise ValueError(
-                f"runs {name!r} need strictly increasing nonnegative values "
-                f"and positive counts: {runs}"
-            )
+        if not runs or min(count for _, count in runs) < 1:
+            raise ValueError(f"runs {name!r} must be nonempty with positive counts: {runs}")
+        _validate_sequence([value for value, _ in runs], name)
     return _check_runs(a_runs, b_runs)
 
 

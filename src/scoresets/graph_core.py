@@ -219,7 +219,7 @@ class BipartiteOrientedGraph:
                 part: [{"label": label, "from": start, "to": stop} for label, start, stop in ranges]
                 for part, ranges in zip("UV", blocks)
             }
-            tail = '],"blocks":' + json.dumps(doc, separators=(",", ":")) + "}"
+            tail = _BLOCKS_KEY + json.dumps(doc, separators=(",", ":")) + "}"
         arcs = ",".join(self._arc_rows(_JSON_ARCS, ","))  # row texts freed before the join
         return "".join([f'{{"m":{self.m},"n":{self.n},"arcs":[', arcs, tail])
 

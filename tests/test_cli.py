@@ -4,6 +4,7 @@ import io
 import json
 import os
 import resource
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,14 @@ def test_check_pair_valid(capsys):
     code, out, _ = run(capsys, "check-pair", "--a", "1,1,5", "--b", "2,5,5,5")
     assert code == 0
     assert out.strip() == "valid"
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["scoresets", "check-pair", "--a", "1,1,5", "--b", "2,5,5,5"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("scoresets", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.strip() == "valid"
 
 
 def test_check_pair_rejects_unsorted(capsys):

@@ -2,7 +2,7 @@ from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import graphs, nondecreasing_sequences
@@ -123,6 +123,9 @@ def test_pair_matches_naive(a, b):
     [
         ([(1, 3), (8, 1)], [(3, 4)], "invalid at (p=2, q=3): 11 < 12"),
         ([(300, 500)], [(200, 500)], "invalid at (p=143, q=499): 142700 < 142714"),
+        # the same pairs with values spanning consecutive runs
+        ([(1, 1), (1, 2), (8, 1)], [(3, 2), (3, 2)], "invalid at (p=2, q=3): 11 < 12"),
+        ([(300, 100), (300, 400)], [(200, 499), (200, 1)], "invalid at (p=143, q=499): 142700 < 142714"),
     ],
 )
 def test_runs_witness_inside_runs(a_runs, b_runs, expected):
@@ -133,7 +136,7 @@ def test_runs_witness_inside_runs(a_runs, b_runs, expected):
 
 
 def test_runs_reject_bad_input():
-    for a_runs in ([], [(1, 0)], [(1, 1), (1, 1)], [(2, 1), (1, 1)], [(-1, 1)]):
+    for a_runs in ([], [(1, 0)], [(2, 1), (1, 1)], [(-1, 1)]):
         with pytest.raises(ValueError):
             check_bipartite_runs(a_runs, [(1, 1)])
         with pytest.raises(ValueError):
@@ -154,11 +157,19 @@ def run_pairs(draw, max_runs=6, max_count=300):
     return runs(2 * n_top + 1), runs(2 * m_top + 1)
 
 
-@given(run_pairs())
-def test_runs_match_the_sweep(runs):
+@given(run_pairs(), st.data())
+def test_runs_match_the_sweep(runs, data):
     a_runs, b_runs = runs
-    pair = ScoreSequencePair(expand(a_runs), expand(b_runs))
-    assert check_bipartite_runs(a_runs, b_runs) == sweep_check_pair(pair)
+    violation = sweep_check_pair(ScoreSequencePair(expand(a_runs), expand(b_runs)))
+    assert check_bipartite_runs(a_runs, b_runs) == violation
+    # a value may span consecutive runs: split one drawn run in two
+    split = [list(a_runs), list(b_runs)]
+    part, i = data.draw(st.sampled_from([(k, i) for k in (0, 1) for i in range(len(split[k]))]))
+    value, count = split[part][i]
+    assume(count > 1)
+    first = data.draw(st.integers(1, count - 1))
+    split[part][i : i + 1] = [(value, first), (value, count - first)]
+    assert check_bipartite_runs(*split) == violation
 
 
 @st.composite
@@ -172,13 +183,8 @@ def block_graph_runs(draw, max_blocks=4, max_size=300):
     u = [n + sum(x * size for x, size in zip(row, v_size)) for row in net]
     v = [m - sum(row[j] * size for row, size in zip(net, u_size)) for j in range(len(v_size))]
 
-    def runs(scores, sizes):
-        merged = {}
-        for score, size in zip(scores, sizes):
-            merged[score] = merged.get(score, 0) + size
-        return sorted(merged.items())
-
-    return runs(u, u_size), runs(v, v_size)
+    # one run per block, as Realization.verify passes them
+    return sorted(zip(u, u_size)), sorted(zip(v, v_size))
 
 
 @given(block_graph_runs())

@@ -25,6 +25,8 @@ def test_new_graph_is_all_absent():
     assert (g.m, g.n) == (2, 3)
     with pytest.raises(TypeError):  # compared by value, left unhashable: __eq__ without __hash__
         hash(BipartiteOrientedGraph(1, 1))
+    assert g.__eq__(1) is NotImplemented  # only graphs compare by value
+    assert g != "x"
 
 
 @pytest.mark.parametrize("m,n", [(0, 4), (4, 0), (0, 0), (-1, 2)])

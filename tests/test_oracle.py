@@ -849,6 +849,9 @@ def test_from_jsonl_rejects_duplicate_keys():
     )
     for line, index in ((first, 1), (second, 3)):
         assert RealizabilityCatalog.from_jsonl(line).sets == {(0, 1, 3): Witness(1, 2, index)}
+    # blank and whitespace-only lines are skipped
+    blanks = RealizabilityCatalog.from_jsonl(f"\n{first}\n \t\n")
+    assert (blanks.sets, blanks.pairs) == ({(0, 1, 3): Witness(1, 2, 1)}, {})
     with pytest.raises(ValueError, match="line 2"):
         RealizabilityCatalog.from_jsonl(first + "\n" + second + "\n")
 
