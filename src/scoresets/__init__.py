@@ -1,8 +1,14 @@
-"""Score-set realization and verification for oriented bipartite graphs."""
+"""Score-set realization and verification for oriented bipartite graphs.
+
+The oracle's names are imported from ``scoresets.oracle`` on first
+access, so importing the package imports no numpy.
+"""
 
 from .graph_core import (
+    DEFAULT_BUDGET,
     ArcState,
     BipartiteOrientedGraph,
+    BudgetExceededError,
     ScoreSequencePair,
     ScoreSet,
 )
@@ -21,20 +27,27 @@ from .constructions import (
     classify,
     realize,
 )
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    EnumerationSpace,
-    EquivalenceReport,
-    RealizabilityCatalog,
-    Witness,
-    bounded_search,
-    catalog_for_shape,
-    criterion_equivalence,
-    realizable_sets_up_to,
-)
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = {
+    "EnumerationSpace",
+    "EquivalenceReport",
+    "RealizabilityCatalog",
+    "Witness",
+    "bounded_search",
+    "catalog_for_shape",
+    "criterion_equivalence",
+    "realizable_sets_up_to",
+}
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ArcState",

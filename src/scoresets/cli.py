@@ -3,7 +3,9 @@
 Exit codes: 0 the command completed (negative mathematical answers
 included), 1 bad input, 2 unsupported score-set family, 3 enumeration
 budget exceeded.  A reader that closes stdout early ends the command
-quietly with 0.
+quietly with 0.  Importing this module imports no numpy: the oracle is
+imported by the commands that enumerate, and the graph methods that
+build or read an array import numpy themselves.
 """
 
 from __future__ import annotations
@@ -17,16 +19,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .constructions import UnsupportedScoreSetError, realize, spans
-from .graph_core import BipartiteOrientedGraph, ScoreSequencePair, ScoreSet
+from .graph_core import DEFAULT_BUDGET, BipartiteOrientedGraph, BudgetExceededError
+from .graph_core import ScoreSequencePair, ScoreSet
 from .criteria import check_bipartite_pair, check_oriented_scores
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    EnumerationSpace,
-    _shapes,
-    bounded_search,
-    catalog_for_shape,
-)
 
 
 class _CliError(Exception):
@@ -224,6 +219,8 @@ def _cmd_check_oriented(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .oracle import catalog_for_shape
+
     emit_sets = args.emit == "sets"
     catalog = catalog_for_shape(
         args.m, args.n, budget=args.budget, sets=emit_sets, pairs=not emit_sets
@@ -233,6 +230,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .oracle import EnumerationSpace, bounded_search
+
     score_set = _parse_score_set(args.set)
     witness = bounded_search(score_set, args.max_m, args.max_n, budget=args.budget)
     if witness is None:
@@ -251,6 +250,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture_scan(args: argparse.Namespace) -> int:
+    from .oracle import _shapes, bounded_search
+
     top = args.max_value
     if top < 1:
         raise ValueError("--max-value must be at least 1")

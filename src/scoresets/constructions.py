@@ -41,8 +41,6 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
 from .criteria import check_bipartite_runs
 from .graph_core import _NET, ArcState, BipartiteOrientedGraph, ScoreSet
 from .graph_core import _require_dense
@@ -116,7 +114,7 @@ class Realization:
         for (i, j), state in self.cells:
             x, y = self.u_blocks[i], self.v_blocks[j]
             by_rank = 0 if None in (x.rank, y.rank) else (x.rank > y.rank) - (x.rank < y.rank)
-            net = int(_NET[state]) - by_rank
+            net = _NET[state] - by_rank
             u[i] += net * y.size
             v[j] -= net * x.size
         return u, v
@@ -145,6 +143,8 @@ class Realization:
     def graph(self) -> BipartiteOrientedGraph:
         """A new dense graph, built on each access and re-scored against the
         layout; raises ValueError before allocating past the dense limit."""
+        import numpy as np
+
         _require_dense(self.m, self.n)
         # a rank of None becomes NaN, which compares neither above nor below
         u_rank = np.array([b.rank for b in self.u_blocks], dtype=float)[:, None]

@@ -46,12 +46,13 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from typing import Sequence
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING, Sequence
 
 from .graph_core import ScoreSequencePair, _validate_sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,16 @@ def check_bipartite_pair(pair: ScoreSequencePair) -> Violation | None:
 
 
 def _runs(seq: Sequence[int]) -> list[tuple[int, int]]:
-    return [(value, len(list(group))) for value, group in groupby(seq)]
+    """The ``(value, count)`` runs of a nonempty sequence."""
+    runs = []
+    last, count = seq[0], 0
+    for value in seq:
+        if value != last:
+            runs.append((last, count))
+            last, count = value, 0
+        count += 1
+    runs.append((last, count))
+    return runs
 
 
 def check_bipartite_runs(
@@ -160,6 +170,8 @@ def bipartite_pairs_pass(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     ``check_bipartite_pair`` returns None for it.  Rows are taken as
     given, one sequence per row, and each temporary holds one entry per
     pair."""
+    import numpy as np
+
     pre_a = np.cumsum(a_rows, axis=1, dtype=np.int64)
     pre_b = np.cumsum(b_rows, axis=1, dtype=np.int64)
     m, n = pre_a.shape[1], pre_b.shape[1]

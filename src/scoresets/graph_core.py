@@ -17,6 +17,10 @@ whitespace around it allowed) in bands of about 128 KiB of text, as numpy
 byte arrays, with no object per arc.  Any other valid document, such as a
 pretty-printed one or one with its keys reordered, is still accepted: it
 goes through ``json.loads``, which also words every error.
+
+numpy is imported by the methods that build or read an array, not by
+the module: importing it, or the constructions and criteria built on
+it, loads no numpy.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ArcState(IntEnum):
@@ -94,13 +99,16 @@ class ScoreSet:
 # the labeled vertex ranges [start, stop) of each part, which the exports print
 Spans = tuple[Sequence[tuple[str, int, int]], Sequence[tuple[str, int, int]]]
 # indexed by ArcState: the pair's net share of its U-vertex's score
-_NET = np.array([0, 1, -1], dtype=np.int8)
+_NET = (0, 1, -1)
 _DIR_STATES = {"uv": 1, "vu": 2}
 # indexed by ArcState: an arc's JSON and DOT text from its v index, NUL for u
 _JSON_ARCS = (None, '{"u":\0,"v":%d,"dir":"uv"}', '{"u":\0,"v":%d,"dir":"vu"}')
 _DOT_ARCS = (None, "  u\0 -> v%d;", "  v%d -> u\0;")
 # one byte per pair: the largest arc buffer a graph may allocate is 256 MiB
 _MAX_PAIRS = 2**28
+# the oracle's default budget in arc assignments; it and BudgetExceededError
+# live here so that the CLI has them without importing the oracle
+DEFAULT_BUDGET = 3**16
 
 # from_json's array lane: to_json's header, the text after its arcs' "]"
 # when blocks follow, and one arc without its indices (direction at _DIR)
@@ -113,6 +121,10 @@ _ZERO, _COLON, _COMMA, _U = b"0:,u"
 # digits of an index that fit int64; characters of text read per band
 _MAX_DIGITS = 18
 _BAND = 1 << 17
+
+
+class BudgetExceededError(RuntimeError):
+    """The enumeration space exceeds the configured budget."""
 
 
 def _require_dense(m: int, n: int) -> None:
@@ -144,6 +156,8 @@ class BipartiteOrientedGraph:
         (m, n) integer array; raises ValueError, before copying anything,
         on any other shape or type, a value outside 0..2, an empty part or
         more pairs than the dense limit."""
+        import numpy as np
+
         states = np.asarray(states)
         if states.ndim != 2 or states.dtype.kind not in "iu":
             raise ValueError(f"states need a 2-D integer array, got {states.ndim}-D {states.dtype}")
@@ -160,6 +174,8 @@ class BipartiteOrientedGraph:
     @property
     def states(self) -> np.ndarray:
         """The (m, n) uint8 ArcState matrix, a read-only view."""
+        import numpy as np
+
         return np.frombuffer(self._arcs, dtype=np.uint8).reshape(self.m, self.n)
 
     def arc(self, u: int, v: int) -> ArcState:
@@ -170,8 +186,10 @@ class BipartiteOrientedGraph:
 
     def scores(self) -> tuple[list[int], list[int]]:
         """U-scores and V-scores, each in vertex order."""
+        import numpy as np
+
         m, n = self.m, self.n
-        net = _NET[self.states]
+        net = np.array(_NET, dtype=np.int8)[self.states]
         return (
             (n + net.sum(axis=1, dtype=np.int64)).tolist(),
             (m - net.sum(axis=0, dtype=np.int64)).tolist(),
@@ -239,6 +257,8 @@ class BipartiteOrientedGraph:
         (surrounding JSON whitespace allowed) and ``_from_doc`` would accept
         it, else None.  Never raises, and allocates the graph only after
         every band has been read."""
+        import numpy as np
+
         head = _JSON_HEAD.match(text) if isinstance(text, str) else None
         if head is None:
             return None
@@ -274,6 +294,8 @@ class BipartiteOrientedGraph:
     @classmethod
     def _from_doc(cls, text: str) -> "BipartiteOrientedGraph":
         """Parse any graph JSON document with ``json.loads``, one dict per arc."""
+        import numpy as np
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -339,6 +361,8 @@ def _read_arc_band(band: str, m: int, n: int) -> tuple[np.ndarray, np.ndarray] |
     """Pair offsets (u * n + v) and states of ``band``, whole arcs of
     ``to_json``'s layout each followed by a comma; None unless every arc is
     in that layout with in-range indices."""
+    import numpy as np
+
     if not band.isascii():
         return None
     data = band.encode("ascii")

@@ -73,18 +73,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .criteria import bipartite_pairs_pass
-from .graph_core import _NET, BipartiteOrientedGraph, ScoreSet
+from .graph_core import _NET, DEFAULT_BUDGET, BipartiteOrientedGraph, BudgetExceededError, ScoreSet
 
-DEFAULT_BUDGET = 3**16
 # int64 scores per block of candidates (m + n per candidate), in catalogs
 # and searches alike, and pairs per block of criterion_equivalence; at
 # 256 KiB whatever the shape, no block is large enough to raise glibc's
 # malloc thresholds for the rest of the process
 _BLOCK = 1 << 15
-
-
-class BudgetExceededError(RuntimeError):
-    """The enumeration space exceeds the configured budget."""
 
 
 # _BIT[s] is the set-mask bit of score s
@@ -320,7 +315,7 @@ def _shape_lines(m: int, n: int) -> tuple[np.ndarray, ...]:
     count, length = max(m, n), min(m, n)
     digits = _digits(np.arange(3**length), length)
     # a row's net with each pair: +1 (u->v), -1 (v->u) or 0 (absent)
-    nets = _NET[digits]
+    nets = np.array(_NET, dtype=np.int8)[digits]
     scores = length + nets.sum(axis=1, dtype=np.int64)
     # row u weighs 3**(n*u) in the index, column v 3**v
     row_powers = _POWERS[: n * m : n]

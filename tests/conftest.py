@@ -1,7 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
 
+import scoresets
 from scoresets.graph_core import BipartiteOrientedGraph
+
+
+def run_python(script, *args):
+    """``python -c script args...`` in a fresh interpreter that imports
+    this checkout's scoresets; the completed process, output as text."""
+    src = str(Path(scoresets.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @st.composite

@@ -15,6 +15,8 @@ import scoresets
 from scoresets import cli
 from scoresets.cli import main
 
+from conftest import run_python
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -469,12 +471,74 @@ for _ in range(2):
     counts.append(built)
 print(*counts)
 """
-    src = str(Path(scoresets.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     before, first, second = map(int, proc.stdout.split()[-3:])
     assert before == 0 and first > 0 and second == first
+
+
+_TRIPLE_SUMMARY = (
+    "score set {1,2,5}\nfamily Triple\nm = 3, n = 4\n"
+    "U blocks: X1[0:2)=1 X2[2:3)=5\nV blocks: Y1[0:1)=2 Y2[1:4)=5\n"
+)
+_TRIPLE_JSON = (
+    '{"m":3,"n":4,"arcs":[{"u":0,"v":1,"dir":"vu"},{"u":0,"v":2,"dir":"vu"},'
+    '{"u":0,"v":3,"dir":"vu"},{"u":1,"v":1,"dir":"vu"},{"u":1,"v":2,"dir":"vu"},'
+    '{"u":1,"v":3,"dir":"vu"},{"u":2,"v":0,"dir":"uv"}],"blocks":{"U":[{"label":"X1",'
+    '"from":0,"to":2},{"label":"X2","from":2,"to":3}],"V":[{"label":"Y1","from":0,"to":1},'
+    '{"label":"Y2","from":1,"to":4}]}}\n'
+)
+
+
+def test_numpy_free_commands_import_no_numpy():
+    # importing the CLI and the commands that need no array leave numpy
+    # unimported; the commands that do need it still answer as before
+    script = """
+import contextlib, io, json, sys
+import scoresets.cli
+report = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    sys.stdin, out = io.StringIO(sys.argv[2]), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = scoresets.cli.main(argv)
+    report.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+    numpy_free = [
+        (["realize", "--set", "1,2,5"], 0, _TRIPLE_SUMMARY),
+        (["check-pair", "--a", "1,1,5", "--b", "2,5,5,5"], 0, "valid\n"),
+        (["check-oriented", "--scores", "2,2"], 0, "invalid at (k=2): 4 != 2 (equality required)\n"),
+        (["check-pair", "--a", "x", "--b", "1"], 1, ""),
+        (["realize", "--set", "0,2"], 2, ""),
+    ]
+    with_numpy = [
+        (["realize", "--set", "1,2,5", "--format", "json"], 0, _TRIPLE_JSON),
+        (["score", "--graph", "-"], 0, "a = [1,1,5]\nb = [2,5,5,5]\nscore set {1,2,5}\n"),
+        (
+            ["search", "--set", "1,3", "--max-m", "2", "--max-n", "2"],
+            0,
+            'witness found: m=2 n=2 index=12\n{"m":2,"n":2,"arcs":[{"u":0,"v":1,"dir":"uv"},'
+            '{"u":1,"v":0,"dir":"uv"}]}\n',
+        ),
+    ]
+    commands = numpy_free + with_numpy
+    proc = run_python(script, json.dumps([argv for argv, _, _ in commands]), _TRIPLE_JSON)
+    assert proc.returncode == 0, proc.stderr
+    imported, *runs = json.loads(proc.stdout)
+    assert imported is False, "import scoresets.cli imported numpy"
+    for (argv, code, expected), (got_code, out, _) in zip(commands, runs):
+        assert (got_code, out) == (code, expected), argv
+    assert [loaded for *_, loaded in runs] == [False] * len(numpy_free) + [True] * len(with_numpy)
+
+
+def test_package_exports_resolve():
+    # the oracle's names resolve on first access, as the same objects
+    namespace = {}
+    exec("from scoresets import *", namespace)
+    for name in scoresets.__all__:
+        assert getattr(scoresets, name) is namespace[name], name
+    assert scoresets.BudgetExceededError is scoresets.oracle.BudgetExceededError
+    assert scoresets.DEFAULT_BUDGET == scoresets.oracle.DEFAULT_BUDGET == 3**16
+    assert scoresets.bounded_search is scoresets.oracle.bounded_search
+    with pytest.raises(AttributeError, match="no_such_name"):
+        scoresets.no_such_name

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import per_vertex_scores
+from conftest import per_vertex_scores, run_python
 from scoresets.constructions import (
     Block,
     Family,
@@ -525,18 +525,22 @@ def test_above_the_dense_limit_only_the_exports_refuse():
         (200, 400, 800, 1600, 3200),  # Geometric ratio 2
     ],
 )
-def test_build_verifies_from_block_scores(values, monkeypatch):
-    # verify audits the blocks; it never builds arrays of per-vertex scores
-    import scoresets.constructions as constructions
-
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"verify used numpy.{name}")
-
-    monkeypatch.setattr(constructions, "np", NoNumpy())
+def test_build_verifies_from_block_scores(values):
+    # verify audits the blocks; it never builds arrays of per-vertex
+    # scores, so realize and verify run where numpy cannot be imported
+    script = """
+import sys
+sys.modules["numpy"] = None
+from scoresets import ScoreSet, realize
+values = ScoreSet(map(int, sys.argv[1:]))
+r = realize(values)
+r.verify()
+print(r.requested == values, r.m, r.n)
+"""
+    proc = run_python(script, *map(str, values))
+    assert proc.returncode == 0, proc.stderr
     r = realize(ScoreSet(values))
-    r.verify()
-    assert r.requested == ScoreSet(values)
+    assert proc.stdout == f"True {r.m} {r.n}\n"
 
 
 def test_export_cannot_drift_from_its_layout():
