@@ -30,25 +30,6 @@ from .constructions import (
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = {
-    "EnumerationSpace",
-    "EquivalenceReport",
-    "RealizabilityCatalog",
-    "Witness",
-    "bounded_search",
-    "catalog_for_shape",
-    "criterion_equivalence",
-    "realizable_sets_up_to",
-}
-
-
-def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ArcState",
     "BipartiteOrientedGraph",
@@ -76,3 +57,11 @@ __all__ = [
     "realizable_sets_up_to",
     "realize",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:  # the names bound in this module never get here
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,24 +24,16 @@ from .graph_core import ScoreSequencePair, ScoreSet
 from .criteria import check_bipartite_pair, check_oriented_scores
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on parse errors; 2 is taken, so raise instead
+    # argparse exits with 2 on parse errors; 2 is taken, so raise bad input instead
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except UnsupportedScoreSetError as err:
         print(f"unsupported: {err}", file=sys.stderr)

@@ -248,8 +248,7 @@ class BipartiteOrientedGraph:
         A document in exactly ``to_json``'s layout is read in bands by
         ``_from_bands``; every other text goes to ``_from_doc``, which is
         also the only source of error messages."""
-        graph = cls._from_bands(text)
-        return cls._from_doc(text) if graph is None else graph
+        return cls._from_bands(text) or cls._from_doc(text)
 
     @classmethod
     def _from_bands(cls, text: str) -> "BipartiteOrientedGraph | None":
@@ -298,7 +297,7 @@ class BipartiteOrientedGraph:
 
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep to parse is bad input
             raise ValueError(f"not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError("graph document must be a JSON object")

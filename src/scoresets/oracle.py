@@ -93,17 +93,6 @@ def _digits(index, count: int) -> np.ndarray:
     return np.asarray(index, dtype=np.int64)[..., None] // _POWERS[:count] % 3
 
 
-def _require_range(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError(f"shape ({m}, {n}) has an empty part; both parts need a vertex")
-    # every score indexes _BIT, and every digit of an index _POWERS
-    if 2 * max(m, n) >= _BIT.size or m * n > _POWERS.size:
-        raise ValueError(
-            f"shape ({m}, {n}) is out of the oracle's range: scores above 62 "
-            "overflow its int64 set masks and m*n >= 40 its int64 indices"
-        )
-
-
 def _require_budget(m: int, n: int, budget: int) -> None:
     total = EnumerationSpace(m, n).total  # the space checks the oracle's range first
     if total > budget:
@@ -121,7 +110,15 @@ class EnumerationSpace:
     n: int
 
     def __post_init__(self) -> None:
-        _require_range(self.m, self.n)
+        m, n = self.m, self.n
+        if m < 1 or n < 1:
+            raise ValueError(f"shape ({m}, {n}) has an empty part; both parts need a vertex")
+        # every score indexes _BIT, and every digit of an index _POWERS
+        if 2 * max(m, n) >= _BIT.size or m * n > _POWERS.size:
+            raise ValueError(
+                f"shape ({m}, {n}) is out of the oracle's range: scores above 62 "
+                "overflow its int64 set masks and m*n >= 40 its int64 indices"
+            )
 
     @property
     def total(self) -> int:
@@ -220,7 +217,7 @@ class RealizabilityCatalog:
             try:
                 rec = json.loads(line)
                 kind, m, n, index = rec["kind"], rec["m"], rec["n"], int(rec["index"])
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(f"catalog line {number} is malformed: {exc}") from None
             if kind not in ("set", "pair"):
                 raise ValueError(f"catalog line {number}: unknown record kind: {kind!r}")

@@ -393,19 +393,39 @@ def test_conjecture_scan_refuses_max_value_below_1(capsys):
     )
 
 
-def test_unknown_command_and_flags_exit_1(capsys):
-    code, _, err = run(capsys, "no-such-command")
-    assert code == 1 and "error" in err
-    code, _, err = run(capsys, "realize", "--no-such-flag", "1")
-    assert code == 1
-    code, _, err = run(capsys, "realize")
-    assert code == 1
+def assert_bad_input(outcome):
+    """Exit 1, nothing on stdout, and one ``error:`` line on stderr."""
+    code, out, err = outcome
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_unknown_command_and_flags_exit_1(tmp_path, capsys):
+    assert_bad_input(run(capsys, "no-such-command"))
+    assert_bad_input(run(capsys, "realize", "--no-such-flag", "1"))
+    assert_bad_input(run(capsys, "realize"))
+    assert_bad_input(run(capsys, "enumerate", "--m", "x"))
+    # a parse error stops the command before --out is opened
+    target = tmp_path / "f"
+    assert_bad_input(run(capsys, "realize", "--set", "1", "--out", str(target), "--bogus"))
+    assert not target.exists()
 
 
 def test_malformed_integer_list_exit_1(capsys):
-    code, _, err = run(capsys, "realize", "--set", "1,x,3")
-    assert code == 1
-    assert "integers" in err
+    outcome = run(capsys, "realize", "--set", "1,x,3")
+    assert_bad_input(outcome)
+    assert "integers" in outcome[2]
+
+
+def test_score_of_json_nested_past_recursion_limit_exits_1():
+    script = (
+        "import io, sys; sys.stdin = io.StringIO('[' * 100000); "
+        "from scoresets.cli import main; sys.exit(main(['score', '--graph', '-']))"
+    )
+    result = run_python(script)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: not valid JSON: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
 def test_realize_output_is_deterministic(capsys):

@@ -252,6 +252,16 @@ def test_json_malformed_documents_rejected(doc, message):
         BipartiteOrientedGraph.from_json(doc)
 
 
+def test_json_nested_past_recursion_limit_rejected():
+    # to_json's exact head, and a "blocks" value too deep for json.loads
+    head = BipartiteOrientedGraph(1, 1).to_json()[:-1]
+    deep = head + ',"blocks":' + "[" * 100000 + "]" * 100000 + "}"
+    assert BipartiteOrientedGraph._from_bands(deep) is None
+    for doc in (deep, "[" * 100000):
+        with pytest.raises(ValueError, match="^not valid JSON: "):
+            BipartiteOrientedGraph.from_json(doc)
+
+
 def test_json_later_duplicate_key_wins():
     # json.loads keeps the last "m", so this is a 5x1 graph, not to_json's 1x1
     g = BipartiteOrientedGraph.from_json('{"m":1,"n":1,"arcs":[],"blocks":1,"m":5}')

@@ -839,6 +839,9 @@ def test_from_jsonl_rejects_tampered_records():
         RealizabilityCatalog.from_jsonl('{"kind":"set"}\n')
     with pytest.raises(ValueError, match="catalog line"):
         RealizabilityCatalog.from_jsonl("[1]\n")
+    # too deep for json.loads is malformed too
+    with pytest.raises(ValueError, match="^catalog line 1 is malformed: "):
+        RealizabilityCatalog.from_jsonl("[" * 100000)
 
 
 def test_from_jsonl_rejects_duplicate_keys():
