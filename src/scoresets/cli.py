@@ -5,7 +5,8 @@ included), 1 bad input, 2 unsupported score-set family, 3 enumeration
 budget exceeded.  A reader that closes stdout early ends the command
 quietly with 0.  Importing this module imports no numpy: the oracle is
 imported by the commands that enumerate, and the graph methods that
-build or read an array import numpy themselves.
+build or read an array import numpy themselves.  The package's records
+are named tuples, so it loads no data-class machinery either.
 """
 
 from __future__ import annotations

@@ -2,14 +2,16 @@
 
 Every construction is a block layout, and a Realization is that layout.
 ``build(Family(name, params))`` is the one way to get one, and it
-records the family.  A builder lists each part as a sequence of
-``Block(label, size, score, rank)``, the one block type from builder to
-export.  A block stores no position: a part's blocks lie in order from
-vertex 0, and ``spans`` derives each one's ``(label, start, stop)``.  Of
-two ranked blocks, every vertex of the higher-ranked one has an arc to
-every vertex of the other; equal ranks, and blocks of rank ``None``,
-meet no arc.  Only the singleton's cycle X1 > Y1 > X2 > Y2 > X1, which
-the doubleton reuses, has no rank order; its arcs are ``cells``:
+records the family.  ``Block``, ``Family`` and ``Realization`` are
+immutable named tuples; ``_replace`` makes a changed copy.  A builder
+lists each part as a sequence of ``Block(label, size, score, rank)``,
+the one block type from builder to export.  A block stores no
+position: a part's blocks lie in order from vertex 0, and ``spans``
+derives each one's ``(label, start, stop)``.  Of two ranked blocks,
+every vertex of the higher-ranked one has an arc to every vertex of the
+other; equal ranks, and blocks of rank ``None``, meet no arc.  Only the
+singleton's cycle X1 > Y1 > X2 > Y2 > X1, which the doubleton reuses,
+has no rank order; its arcs are ``cells``:
 ``{(u_block, v_block): state}`` by block index, each replacing the rank
 state of its block pair.  Partial dominations are separate blocks
 (``X1_dominated`` / ``X1_rest``, ``Y0_dominated`` / ``Y0_rest``) placed
@@ -37,7 +39,7 @@ raises UnsupportedScoreSetError for such inputs instead of guessing.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import accumulate
 from typing import Sequence
 
@@ -48,20 +50,23 @@ from .graph_core import _require_dense
 U_TO_V, V_TO_U = ArcState.U_TO_V, ArcState.V_TO_U
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "label size score rank")):
     """``size`` vertices of one part, each expected to score ``score``.
     Every vertex of a block beats every vertex of each opposing block of
-    lower ``rank``; ``None`` ranks below and above nothing."""
+    lower ``rank``; ``None`` ranks below and above nothing.  A negative
+    size is refused, but not by ``_replace``, which skips ``__new__``:
+    it is used only to change a score."""
 
+    __slots__ = ()
     label: str
     size: int
     score: int
-    rank: int | None = None
+    rank: int | None
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"block {self.label} has negative size {self.size}")
+    def __new__(cls, label: str, size: int, score: int, rank: int | None = None) -> "Block":
+        if size < 0:
+            raise ValueError(f"block {label} has negative size {size}")
+        return super().__new__(cls, label, size, score, rank)
 
 
 # requested values, U blocks, V blocks, cells outside the rank rule
@@ -76,21 +81,21 @@ class RealizationError(RuntimeError):
     """A constructed graph failed its self-audit; indicates a builder bug."""
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "name params")):
     """A construction family name and the arguments of its builder."""
 
+    __slots__ = ()
     name: str
     params: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(namedtuple("Realization", "u_blocks v_blocks cells requested family")):
     """A block layout, the requested score set, and the family ``build``
     dispatched on.  The blocks carry their ranks; ``cells`` pairs a
     (U block, V block) index pair with the ArcState that replaces its
     rank state, as a tuple, which unlike a dict keeps the value hashable."""
 
+    __slots__ = ()
     u_blocks: tuple[Block, ...]
     v_blocks: tuple[Block, ...]
     cells: tuple[tuple[tuple[int, int], ArcState], ...]
@@ -221,7 +226,7 @@ def _doubleton(a1: int, a2: int) -> Layout:
         raise ValueError(f"need a1 < a2, got {a1} >= {a2}")
     _, u, v, cells = _singleton(a1)
     u.append(Block("X", a2 - a1, a1))
-    return (a1, a2), u, [replace(b, score=a2) for b in v], cells
+    return (a1, a2), u, [b._replace(score=a2) for b in v], cells
 
 
 def _triple(a1: int, a2: int, a3: int) -> Layout:

@@ -11,11 +11,12 @@ Two checks:
   sum(a[:p]) + sum(b[:q]) >= 2pq for all 1 <= p <= m, 1 <= q <= n, with
   equality at (p, q) = (m, n).
 
-Both return the first failed constraint as a ``Violation``, or ``None``
-when the sequences pass.  ``check_bipartite_runs`` decides the bipartite
-check over ``(value, count)`` runs with nondecreasing values, in O(runs);
-a value may span consecutive runs.  ``check_bipartite_pair`` encodes its
-sequences as runs of equal values and runs the same sweep.
+Both return the first failed constraint as a ``Violation``, an immutable
+named tuple, or ``None`` when the sequences pass.  ``check_bipartite_runs``
+decides the bipartite check over ``(value, count)`` runs with
+nondecreasing values, in O(runs); a value may span consecutive runs.
+``check_bipartite_pair`` encodes its sequences as runs of equal values
+and runs the same sweep.
 Write A_p = sum(a[:p]), B_q = sum(b[:q]) and f(p, q) = A_p + B_q - 2pq.
 For fixed p, B_q - 2pq falls while the q-th entry of b is at most 2p and
 rises after, so its minimum over q >= 1 sits at q* = max(1, #{b <= 2p}),
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
@@ -55,14 +56,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "indices lhs rhs equality", defaults=(False,))):
     """First failed constraint: indices, and both sides of the comparison."""
 
+    __slots__ = ()
     indices: tuple[int, ...]
     lhs: int
     rhs: int
-    equality: bool = False
+    equality: bool
 
     def describe(self, names: Sequence[str]) -> str:
         """``invalid at (p=1, q=1): 0 < 2``, one name per index."""

@@ -4,7 +4,8 @@ A graph has parts U (m vertices) and V (n vertices).  Every (u, v) pair
 carries exactly one of three states: an arc u->v, an arc v->u, or no arc,
 so symmetric arc pairs and loops cannot occur.  The score of u in U is
 n + outdegree - indegree; the score of v in V is m + outdegree - indegree.
-U-scores lie in [0, 2n] and V-scores in [0, 2m].
+U-scores lie in [0, 2n] and V-scores in [0, 2m].  ``ScoreSequencePair``
+and ``ScoreSet`` are immutable named tuples that validate on construction.
 
 ``to_json`` and ``to_dot`` format each distinct row of arc states once per
 call, as a template with NUL for the row index, and fill it in for every
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -44,20 +45,20 @@ class ArcState(IntEnum):
     V_TO_U = 2
 
 
-@dataclass(frozen=True)
-class ScoreSequencePair:
+class ScoreSequencePair(namedtuple("ScoreSequencePair", "a b")):
     """Nondecreasing score sequences of the two parts."""
 
+    __slots__ = ()
     a: tuple[int, ...]
     b: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
+    def __new__(cls, a: Iterable[int], b: Iterable[int]) -> "ScoreSequencePair":
+        self = super().__new__(cls, tuple(a), tuple(b))
         for name, seq in (("a", self.a), ("b", self.b)):
             if not seq:
                 raise ValueError(f"sequence {name!r} must not be empty")
             _validate_sequence(seq, name)
+        return self
 
 
 def _validate_sequence(seq: Sequence[int], name: str) -> None:
@@ -67,24 +68,33 @@ def _validate_sequence(seq: Sequence[int], name: str) -> None:
         raise ValueError(f"sequence {name!r} is not nondecreasing: {seq}")
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    """Strictly increasing tuple of distinct nonnegative integers."""
+class ScoreSet(namedtuple("ScoreSet", "values")):
+    """Strictly increasing tuple of distinct nonnegative integers.  ``in``,
+    ``len``, ``iter`` and ``str`` read the values, not the one field, so
+    ``_replace`` and ``_asdict``, which iterate the record, do not apply."""
 
+    __slots__ = ()
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+    def __new__(cls, values: Iterable[int]) -> "ScoreSet":
+        self = super().__new__(cls, tuple(values))
         if not self.values:
             raise ValueError("score set is empty")
         _validate_sequence(self.values, "values")
         if len(set(self.values)) < len(self.values):
             raise ValueError(f"score set has a repeated value: {self.values}")
+        return self
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "ScoreSet":
         """Sort and deduplicate arbitrary values into a score set."""
         return cls(tuple(sorted(set(values))))
+
+    def __getnewargs__(self) -> tuple[tuple[int, ...]]:  # for copy and pickle
+        return (self.values,)
+
+    def __contains__(self, value: object) -> bool:
+        return value in self.values
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)

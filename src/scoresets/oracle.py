@@ -6,7 +6,9 @@ pair (0, 0) least significant; digit values follow ArcState (0 absent,
 1 u->v, 2 v->u).  The numbering is part of the catalog file contract,
 so witnesses stay portable.  ``_POWERS`` and ``_digits`` alone implement
 it; the oracle's range keeps m * n <= 39, so every index is below
-3**39 < 2**63 and fits an int64.
+3**39 < 2**63 and fits an int64.  ``EnumerationSpace``, ``Witness`` and
+``EquivalenceReport`` are immutable named tuples; a
+``RealizabilityCatalog`` holds two dicts of its own.
 
 The scores of every graph of shape (m, n) sum to 2mn: each U vertex
 starts at n, each V vertex at m, and every arc adds 1 to its tail and
@@ -66,7 +68,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
@@ -102,15 +104,14 @@ def _require_budget(m: int, n: int, budget: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class EnumerationSpace:
+class EnumerationSpace(namedtuple("EnumerationSpace", "m n")):
     """Index space of all arc assignments for fixed part sizes."""
 
+    __slots__ = ()
     m: int
     n: int
 
-    def __post_init__(self) -> None:
-        m, n = self.m, self.n
+    def __new__(cls, m: int, n: int) -> "EnumerationSpace":
         if m < 1 or n < 1:
             raise ValueError(f"shape ({m}, {n}) has an empty part; both parts need a vertex")
         # every score indexes _BIT, and every digit of an index _POWERS
@@ -119,6 +120,7 @@ class EnumerationSpace:
                 f"shape ({m}, {n}) is out of the oracle's range: scores above 62 "
                 "overflow its int64 set masks and m*n >= 40 its int64 indices"
             )
+        return super().__new__(cls, m, n)
 
     @property
     def total(self) -> int:
@@ -163,10 +165,10 @@ def _values_of(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "m n index")):
     """Shape plus assignment index pinning one realizing graph."""
 
+    __slots__ = ()
     m: int
     n: int
     index: int
@@ -190,13 +192,13 @@ def _record_line(kind: str, key, witness: Witness) -> str:
     )
 
 
-@dataclass
 class RealizabilityCatalog:
     """Every realizable score set / sequence pair within shape bounds,
     each mapped to its first witness in (m, n, index) order."""
 
-    sets: dict[tuple[int, ...], Witness] = field(default_factory=dict)
-    pairs: dict[PairKey, Witness] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.sets: dict[tuple[int, ...], Witness] = {}
+        self.pairs: dict[PairKey, Witness] = {}
 
     def to_jsonl(self) -> str:
         """Set records, then pair records, keys sorted lexicographically."""
@@ -482,16 +484,18 @@ def bounded_search(
     return None
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(
+    namedtuple("EquivalenceReport", "m n counterexamples candidates passing", defaults=(0, 0))
+):
     """Outcome of testing the sequence-pair criterion at one shape: the
     counterexamples, the candidate pairs checked and how many passed."""
 
+    __slots__ = ()
     m: int
     n: int
     counterexamples: list[tuple[str, tuple[int, ...], tuple[int, ...]]]
-    candidates: int = 0
-    passing: int = 0
+    candidates: int
+    passing: int
 
     @property
     def necessity_ok(self) -> bool:

@@ -551,6 +551,43 @@ print(json.dumps(report))
     assert [loaded for *_, loaded in runs] == [False] * len(numpy_free) + [True] * len(with_numpy)
 
 
+def test_no_code_path_imports_dataclasses(capsys, monkeypatch):
+    # the package, the CLI and the oracle answer where dataclasses cannot be
+    # imported, as they do in process; importing the CLI loads no inspect
+    script = """
+import contextlib, io, json, sys
+sys.modules["dataclasses"] = None
+import scoresets, scoresets.cli
+inspect_loaded = "inspect" in sys.modules
+import scoresets.oracle
+runs, previous = [], ""
+for argv in json.loads(sys.argv[1]):
+    sys.stdin, out = io.StringIO(previous), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = scoresets.cli.main(argv)
+    previous = out.getvalue()
+    runs.append([code, previous])
+print(json.dumps([inspect_loaded, runs]))
+"""
+    commands = [
+        ["realize", "--set", "1,2,5"],
+        ["realize", "--set", "1,2,5", "--format", "json"],
+        ["score", "--graph", "-"],  # reads the json above on stdin
+        ["search", "--set", "1,3", "--max-m", "2", "--max-n", "2"],
+        ["enumerate", "--m", "2", "--n", "2", "--emit", "sets"],
+        ["check-pair", "--a", "1,1,5", "--b", "2,5,5,5"],
+    ]
+    proc = run_python(script, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    inspect_loaded, runs = json.loads(proc.stdout)
+    assert inspect_loaded is False, "import scoresets.cli imported inspect"
+    previous = ""
+    for argv, got in zip(commands, runs):
+        monkeypatch.setattr("sys.stdin", io.StringIO(previous))
+        code, previous, _ = run(capsys, *argv)
+        assert got == [code, previous] and code == 0, argv
+
+
 def test_package_exports_resolve():
     # the oracle's names resolve on first access, as the same objects
     namespace = {}

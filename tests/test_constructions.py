@@ -1,6 +1,5 @@
 import hashlib
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -405,6 +404,12 @@ def test_realize_refuses_zero_and_empty():
         realize(ScoreSet(()))
 
 
+def test_record_reprs_match_the_readme():
+    r = realize(ScoreSet((1, 2, 5)))
+    assert repr(r.family) == "Family(name='Triple', params=(1, 2, 5))"
+    assert repr(r.u_blocks[1]) == "Block(label='X2', size=1, score=5, rank=2)"
+
+
 def test_verify_catches_tampering():
     r = build(Family("Singleton", (2,)))
     r.verify()
@@ -412,13 +417,13 @@ def test_verify_catches_tampering():
         ((0, 0), ArcState.ABSENT),  # X1 against Y1 loses its arcs
         ((0, 1), ArcState.U_TO_V),  # X1 against Y2 is reversed
     ]:
-        tampered = replace(r, cells=tuple({**dict(r.cells), cell: state}.items()))
+        tampered = r._replace(cells=tuple({**dict(r.cells), cell: state}.items()))
         with pytest.raises(RealizationError):
             tampered.verify()
     wide = build(Family("Triple", (1, 2, 5)))
     wide.verify()
     x1, x2 = wide.u_blocks
-    tampered = replace(wide, u_blocks=(x1, replace(x2, rank=1)))  # X2 ties Y1: no arcs
+    tampered = wide._replace(u_blocks=(x1, x2._replace(rank=1)))  # X2 ties Y1: no arcs
     with pytest.raises(RealizationError):
         tampered.verify()
 
@@ -428,7 +433,7 @@ def test_build_verifies_the_layout(monkeypatch):
 
     def overpromising(a1, a2, a3):  # promises X1 one point above what it scores
         requested, u, v, cells = constructions._triple(a1, a2, a3)
-        return requested, [replace(u[0], score=u[0].score + 1), *u[1:]], v, cells
+        return requested, [u[0]._replace(score=u[0].score + 1), *u[1:]], v, cells
 
     monkeypatch.setitem(constructions._BUILDERS, "Triple", overpromising)
     with pytest.raises(RealizationError, match="block X1 scores 1, expected 2"):

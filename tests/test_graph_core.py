@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import warnings
 
@@ -495,6 +497,15 @@ def test_score_set_validation():
     assert ScoreSet.from_values([3, 1, 3]) == ScoreSet((1, 3))
     assert list(ScoreSet((1, 2))) == [1, 2]
     assert 2 in ScoreSet((1, 2)) and 5 not in ScoreSet((1, 2))
+
+
+def test_score_set_reads_its_values():
+    # in, len, iter and str read the values, not the one field; copies and
+    # pickles rebuild the same set
+    values = ScoreSet((1, 2, 5))
+    assert (len(values), list(values), str(values)) == (3, [1, 2, 5], "{1,2,5}")
+    assert 5 in values and (1, 2, 5) not in values
+    assert copy.copy(values) == pickle.loads(pickle.dumps(values)) == values
 
 
 def test_score_set_shares_the_sequence_checks():

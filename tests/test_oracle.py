@@ -885,3 +885,33 @@ def test_catalog_output_golden_digests(capsys):
     assert _sha256(realizable_sets_up_to(2, 3).to_jsonl()) == (
         "c2ba5a51f7622eaa6725d14f36190d73b01e68f7bc391e836bcad946e9d8921d"
     )
+
+
+def test_records_are_immutable():
+    # every field of each of the nine records refuses assignment
+    from scoresets import ScoreSequencePair, check_bipartite_pair, realize
+
+    r = realize(ScoreSet((1, 2, 5)))
+    records = [
+        ScoreSequencePair((1, 1, 5), (2, 5, 5, 5)),
+        r.requested,
+        check_bipartite_pair(ScoreSequencePair((0,), (0,))),
+        r.u_blocks[0],
+        r.family,
+        r,
+        EnumerationSpace(2, 2),
+        Witness(2, 2, 12),
+        criterion_equivalence(1, 1),
+    ]
+    assert len({type(record) for record in records}) == 9
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
+def test_catalogs_do_not_share_their_dicts():
+    first, second = RealizabilityCatalog(), RealizabilityCatalog()
+    first.sets[(1,)] = first.pairs[((1,), (1,))] = Witness(1, 1, 0)
+    assert (second.sets, second.pairs) == ({}, {})
+    assert first.sets is not first.pairs
