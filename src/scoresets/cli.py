@@ -16,8 +16,8 @@ import functools
 import json
 import os
 import sys
-from itertools import combinations
-from typing import Sequence
+from itertools import chain, combinations
+from typing import Iterable, Sequence
 
 from .constructions import UnsupportedScoreSetError, realize, spans
 from .graph_core import DEFAULT_BUDGET, BipartiteOrientedGraph, BudgetExceededError
@@ -142,21 +142,22 @@ def _parse_score_set(text: str, flag: str = "--set") -> ScoreSet:
     return score_set
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(texts: Iterable[str], out: str | None) -> None:
+    """Write each text as it comes, to stdout or to the file ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(texts)
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     score_set = _parse_score_set(args.set)
     realization = realize(score_set)
     if args.format == "json":
-        text = realization.to_json() + "\n"
+        texts = chain(realization.texts("json"), ("\n",))
     elif args.format == "dot":
-        text = realization.to_dot()
+        texts = realization.texts("dot")
     else:
         lines = [
             f"score set {score_set}",
@@ -165,8 +166,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
             "U blocks: " + _fmt_blocks(realization.u_blocks),
             "V blocks: " + _fmt_blocks(realization.v_blocks),
         ]
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
+        texts = ["\n".join(lines) + "\n"]
+    _write(texts, args.out)
     return 0
 
 
@@ -218,7 +219,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     catalog = catalog_for_shape(
         args.m, args.n, budget=args.budget, sets=emit_sets, pairs=not emit_sets
     )
-    _write(catalog.to_jsonl(), args.out)
+    _write([catalog.to_jsonl()], args.out)
     return 0
 
 

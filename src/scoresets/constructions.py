@@ -27,7 +27,8 @@ runs of one value.  The audit costs O(blocks log blocks).
 ``Realization.graph`` is the one place that expands a layout: it
 refuses layouts of more than ``2**28`` pairs (the dense limit) first,
 then builds a new graph on every access and checks its scores against
-the block scores; no graph changes after it is built.
+the block scores; no graph changes after it is built.  ``texts`` builds
+that graph before it hands out the first piece of an export.
 
 Covered families: singletons {a}, doubletons {a1, a2}, triples
 {a1, a2, a3}, geometric progressions {a * d**i} with integer ratio
@@ -41,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .criteria import check_bipartite_runs
 from .graph_core import _NET, ArcState, BipartiteOrientedGraph, ScoreSet
@@ -168,11 +169,18 @@ class Realization(namedtuple("Realization", "u_blocks v_blocks cells requested f
             raise RealizationError("the dense graph does not score as its layout")
         return g
 
+    def texts(self, fmt: str) -> Iterator[str]:
+        """The ``"json"`` or ``"dot"`` document of ``graph`` in pieces, with
+        the block spans; the graph is built and re-scored before this returns."""
+        graph = self.graph
+        export = graph.json_texts if fmt == "json" else graph.dot_texts
+        return export(blocks=(spans(self.u_blocks), spans(self.v_blocks)))
+
     def to_json(self) -> str:
-        return self.graph.to_json(blocks=(spans(self.u_blocks), spans(self.v_blocks)))
+        return "".join(self.texts("json"))
 
     def to_dot(self) -> str:
-        return self.graph.to_dot(blocks=(spans(self.u_blocks), spans(self.v_blocks)))
+        return "".join(self.texts("dot"))
 
 
 def spans(blocks: Sequence[Block]) -> list[tuple[str, int, int]]:

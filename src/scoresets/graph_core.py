@@ -7,11 +7,14 @@ n + outdegree - indegree; the score of v in V is m + outdegree - indegree.
 U-scores lie in [0, 2n] and V-scores in [0, 2m].  ``ScoreSequencePair``
 and ``ScoreSet`` are immutable named tuples that validate on construction.
 
-``to_json`` and ``to_dot`` format each distinct row of arc states once per
-call, as a template with NUL for the row index, and fill it in for every
-row with those states (block-built graphs have few); none outlives the call.
-Given ``blocks``, both annotate labeled vertex ranges: ``(label, start,
-stop)`` triples per part, which is all of a block the exports print.
+``json_texts`` and ``dot_texts`` yield the export documents in pieces: a
+head, the arcs of one row at a time, then a tail, so a writer holds one
+row's text, never the document; ``to_json`` and ``to_dot`` join them.  A
+row is formatted as a template with NUL for its index and kept until a
+row with other states comes, so the equal consecutive rows of a
+block-built graph are formatted once.  Given ``blocks``, both annotate
+labeled vertex ranges: ``(label, start, stop)`` triples per part, which
+is all of a block the exports print.
 
 ``from_json`` reads a document in exactly ``to_json``'s layout (JSON
 whitespace around it allowed) in bands of about 128 KiB of text, as numpy
@@ -111,9 +114,10 @@ Spans = tuple[Sequence[tuple[str, int, int]], Sequence[tuple[str, int, int]]]
 # indexed by ArcState: the pair's net share of its U-vertex's score
 _NET = (0, 1, -1)
 _DIR_STATES = {"uv": 1, "vu": 2}
-# indexed by ArcState: an arc's JSON and DOT text from its v index, NUL for u
-_JSON_ARCS = (None, '{"u":\0,"v":%d,"dir":"uv"}', '{"u":\0,"v":%d,"dir":"vu"}')
-_DOT_ARCS = (None, "  u\0 -> v%d;", "  v%d -> u\0;")
+# indexed by ArcState: an arc's JSON and DOT text from its v index, NUL for
+# u, each after its separator (the document's first JSON arc drops its comma)
+_JSON_ARCS = (None, ',{"u":\0,"v":%d,"dir":"uv"}', ',{"u":\0,"v":%d,"dir":"vu"}')
+_DOT_ARCS = (None, "\n  u\0 -> v%d;", "\n  v%d -> u\0;")
 # one byte per pair: the largest arc buffer a graph may allocate is 256 MiB
 _MAX_PAIRS = 2**28
 # the oracle's default budget in arc assignments; it and BudgetExceededError
@@ -213,20 +217,18 @@ class BipartiteOrientedGraph:
         u_scores, v_scores = self.scores()
         return ScoreSet.from_values(u_scores + v_scores)
 
-    def _arc_rows(self, formats: tuple, sep: str) -> list[str]:
-        """The ``sep``-joined arc texts of each row that has arcs: each distinct
-        row is formatted once per call from ``formats``, then its u filled in."""
+    def _arc_rows(self, formats: tuple) -> Iterator[str]:
+        """The arc texts of each row that has arcs, in row order, from
+        ``formats``: only the last row's template is kept, split on its NUL."""
         n, data = self.n, self._arcs
-        templates: dict[bytes, str] = {}
-        texts = []
+        last = parts = None
         for u in range(self.m):
             row = data[u * n : (u + 1) * n]
-            template = templates.get(row)
-            if template is None:
-                template = templates[row] = sep.join([formats[s] % v for v, s in enumerate(row) if s])
-            if template:
-                texts.append(template.replace("\0", str(u)))
-        return texts
+            if row != last:
+                last = row
+                parts = "".join([formats[s] % v for v, s in enumerate(row) if s]).split("\0")
+            if len(parts) > 1:  # the row has an arc
+                yield str(u).join(parts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteOrientedGraph):
@@ -237,19 +239,25 @@ class BipartiteOrientedGraph:
         present = len(self._arcs) - self._arcs.count(0)
         return f"BipartiteOrientedGraph(m={self.m}, n={self.n}, arcs={present})"
 
-    def to_json(self, *, blocks: Spans | None = None) -> str:
-        """Serialize to the canonical JSON document (absent pairs omitted),
-        with the U and V block lists when ``blocks`` gives each part's
-        ``(label, start, stop)`` triples."""
-        tail = "]}"
-        if blocks is not None:
+    def json_texts(self, *, blocks: Spans | None = None) -> Iterator[str]:
+        """The canonical JSON document (absent pairs omitted) in pieces, with
+        the U and V block lists when ``blocks`` gives each part's ``(label,
+        start, stop)`` triples."""
+        rows = self._arc_rows(_JSON_ARCS)
+        yield f'{{"m":{self.m},"n":{self.n},"arcs":[' + next(rows, ",")[1:]
+        yield from rows
+        if blocks is None:
+            yield "]}"
+        else:
             doc = {
                 part: [{"label": label, "from": start, "to": stop} for label, start, stop in ranges]
                 for part, ranges in zip("UV", blocks)
             }
-            tail = _BLOCKS_KEY + json.dumps(doc, separators=(",", ":")) + "}"
-        arcs = ",".join(self._arc_rows(_JSON_ARCS, ","))  # row texts freed before the join
-        return "".join([f'{{"m":{self.m},"n":{self.n},"arcs":[', arcs, tail])
+            yield _BLOCKS_KEY + json.dumps(doc, separators=(",", ":")) + "}"
+
+    def to_json(self, *, blocks: Spans | None = None) -> str:
+        """``json_texts`` as one string."""
+        return "".join(self.json_texts(blocks=blocks))
 
     @classmethod
     def from_json(cls, text: str) -> "BipartiteOrientedGraph":
@@ -338,18 +346,23 @@ class BipartiteOrientedGraph:
             buf[pos] = state
         return cls.from_states(np.frombuffer(buf, dtype=np.uint8).reshape(m, n))
 
-    def to_dot(self, *, blocks: Spans | None = None) -> str:
-        """Graphviz rendering with clusters for the two parts; the nodes of
-        each ``(label, start, stop)`` triple of ``blocks`` carry its label."""
+    def dot_texts(self, *, blocks: Spans | None = None) -> Iterator[str]:
+        """Graphviz rendering in pieces, with clusters for the two parts; the
+        nodes of each ``(label, start, stop)`` triple of ``blocks`` carry its
+        label."""
         lines = ["digraph {"]
         for part, size, part_blocks in zip("UV", (self.m, self.n), blocks or ((), ())):
             label = {i: name for name, start, stop in part_blocks for i in range(start, stop)}
             lines += [f"  subgraph cluster_{part} {{", f'    label="{part}";']
             lines += [_node_line(part.lower(), i, label.get(i)) for i in range(size)]
             lines.append("  }")
-        lines += self._arc_rows(_DOT_ARCS, "\n")
-        lines += ["}", ""]
-        return "\n".join(lines)
+        yield "\n".join(lines)
+        yield from self._arc_rows(_DOT_ARCS)
+        yield "\n}\n"
+
+    def to_dot(self, *, blocks: Spans | None = None) -> str:
+        """``dot_texts`` as one string."""
+        return "".join(self.dot_texts(blocks=blocks))
 
 
 def _is_json_tail(tail: str) -> bool:

@@ -99,6 +99,21 @@ def test_closed_stdout_exits_0_quietly(capsys, monkeypatch, argv):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_reader_closing_in_the_middle_of_an_export_exits_0_quietly(fmt):
+    # 1640x1640: tens of MB of text, so the reader goes away mid-stream
+    src = str(Path(scoresets.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["realize", "--set", "1,3,9,27,81,243,729,2187", "--format", fmt]
+    with subprocess.Popen(
+        [sys.executable, "-m", "scoresets", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.read(1) in (b"{", b"d")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+
+
 def test_closed_stdout_file_descriptor_goes_to_null_device(capsys, monkeypatch):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -239,7 +254,7 @@ def test_score_dense_limit_exit_1(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["summary", "json", "dot"])
-def test_realize_dense_limit_exit_1(capsys, monkeypatch, fmt):
+def test_realize_dense_limit_exit_1(capsys, monkeypatch, tmp_path, fmt):
     # geometric(1, 3, 10): 44287 x 44287; the summary reads only the blocks
     _refuse_large_buffers(monkeypatch)
     values = ",".join(str(3**k) for k in range(11))
@@ -252,6 +267,11 @@ def test_realize_dense_limit_exit_1(capsys, monkeypatch, fmt):
     else:
         assert code == 1 and out == ""
         assert "dense limit" in err
+        # refused before the --out file is opened
+        target = tmp_path / "graph.txt"
+        code, out, err = run(capsys, "realize", "--set", values, "--format", fmt, "--out", str(target))
+        assert (code, out) == (1, "") and "dense limit" in err
+        assert not target.exists()
 
 
 def _limit_address_space():

@@ -17,6 +17,7 @@ from scoresets.constructions import (
     realize,
     spans,
 )
+from scoresets.cli import main
 from scoresets.criteria import check_bipartite_pair
 from scoresets.graph_core import ArcState, BipartiteOrientedGraph, ScoreSet
 from scoresets.oracle import bounded_search
@@ -571,6 +572,9 @@ def test_graph_catches_a_fill_that_disagrees_with_the_layout(monkeypatch):
     r.verify()  # the layout itself is sound
     with pytest.raises(RealizationError):
         r.graph
+    for fmt in ("json", "dot"):
+        with pytest.raises(RealizationError):  # when asked for, before any piece
+            r.texts(fmt)
 
 
 # ---------------------------------------------------------- golden output
@@ -632,6 +636,25 @@ def test_realize_output_matches_golden_digest(branch):
     r = realize(ScoreSet(values))
     assert hashlib.sha256(r.to_json().encode()).hexdigest() == json_digest
     assert hashlib.sha256(r.to_dot().encode()).hexdigest() == dot_digest
+
+
+@pytest.mark.parametrize("branch", sorted(GOLDEN))
+def test_cli_export_bytes_match_golden_digest(branch, tmp_path, capsys):
+    # the streamed CLI writes to_json() and a newline, and to_dot(), to
+    # stdout and to --out alike
+    values, json_digest, dot_digest = GOLDEN[branch]
+    target = tmp_path / "export"
+    for fmt, digest in (("json", json_digest), ("dot", dot_digest)):
+        argv = ["realize", "--set", ",".join(map(str, values)), "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        for text in (out, target.read_text(encoding="utf-8")):
+            if fmt == "json":
+                assert text.endswith("}\n")
+                text = text[:-1]
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_realize_output_matches_golden_digest_at_1640x1640():

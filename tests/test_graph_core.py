@@ -428,6 +428,8 @@ SHAPED_GRAPHS = {
     # two-digit u and v on both sides
     "12x13": [[(u * 5 + v * 7 + u * v) % 3 for v in range(13)] for u in range(12)],
     "all rows equal": [_STRIPE] * 12,
+    # a row that comes back after another is formatted again, not from a stale template
+    "rows A, B, A, A": [_STRIPE, _STRIPE[::-1], _STRIPE, _STRIPE],
     "empty rows between": [_STRIPE if u % 3 else [0] * 14 for u in range(11)],
     "all absent": [[0] * 12 for _ in range(11)],
     "1x25": [[(v * v) % 3 for v in range(25)]],
