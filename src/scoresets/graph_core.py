@@ -17,10 +17,13 @@ labeled vertex ranges: ``(label, start, stop)`` triples per part, which
 is all of a block the exports print.
 
 ``from_json`` reads a document in exactly ``to_json``'s layout (JSON
-whitespace around it allowed) in bands of about 128 KiB of text, as numpy
-byte arrays, with no object per arc.  Any other valid document, such as a
-pretty-printed one or one with its keys reordered, is still accepted: it
-goes through ``json.loads``, which also words every error.
+whitespace around it allowed) with no object per arc.  A row equal to the
+row before it, but for its index, is matched with one string comparison
+against a template of that row and copies its states; the other rows are
+parsed as numpy byte arrays, in bands of at most 128 KiB of text.  Any
+other valid document, such as a pretty-printed one or one with its keys
+reordered, is still accepted: it goes through ``json.loads``, which also
+words every error.
 
 numpy is imported by the methods that build or read an array, not by
 the module: importing it, or the constructions and criteria built on
@@ -132,9 +135,14 @@ _ARC = b'{"u":,"v":,"dir":"uv"},'
 _DIR = 18
 _DIGITS = b"0123456789"
 _ZERO, _COLON, _COMMA, _U = b"0:,u"
-# digits of an index that fit int64; characters of text read per band
+# digits of an index that fit int64; characters of text read per band at
+# most; and the span within which the first row must end to be read alone,
+# about as much text as one band call costs in overhead
 _MAX_DIGITS = 18
 _BAND = 1 << 17
+_FIRST_WINDOW = 1 << 14
+# what every arc starts with, before its row index
+_KEY = '{"u":'
 
 
 class BudgetExceededError(RuntimeError):
@@ -273,7 +281,22 @@ class BipartiteOrientedGraph:
         """The graph of ``text`` if it is in exactly ``to_json``'s layout
         (surrounding JSON whitespace allowed) and ``_from_doc`` would accept
         it, else None.  Never raises, and allocates the graph only after
-        every band has been read."""
+        every band has been read.
+
+        Block-built graphs repeat rows, so each row is first compared as
+        text with a template: the last whole row read, split on its
+        ``{"u":U,`` key.  A row that equals the template joined with its
+        own key copies the template's states, with no numpy call.  Other
+        rows go to ``_read_arc_band`` in bands of at most ``_BAND``
+        characters.  A band ends after its last whole row, which becomes
+        the template, when that row equals the row before it or when the
+        band may start a block of equal rows: it follows copies, or it is
+        the first row alone of a document longer than a band, read so
+        because the row after it is equal.  Once copies cover more text
+        than the band before them and ``_FIRST_WINDOW``, the next band
+        holds at most twice the template's length: rows that all differ
+        are read in whole bands, and each new block of equal rows costs
+        the band reader about two rows."""
         import numpy as np
 
         head = _JSON_HEAD.match(text) if isinstance(text, str) else None
@@ -282,31 +305,103 @@ class BipartiteOrientedGraph:
         m, n = int(head[1]), int(head[2])
         if m < 1 or n < 1 or m * n > _MAX_PAIRS:
             return None
-        start = head.end()
-        close = text.find("]", start)  # the arcs' text has no "]"
+        pos = head.end()
+        close = text.find("]", pos)  # the arcs' text has no "]"
         if close < 0 or not _is_json_tail(text[close:].rstrip(" \t\n\r")):
             return None
-        bands = []
-        while start < close:
-            if close - start > _BAND:
-                # a band ends after the "}," of an arc, the next starts at its "{"
-                cut = text.rfind("},{", start, start + _BAND)
-                if cut < 0:
-                    return None
-                band, start = text[start : cut + 2], cut + 2
+        bands = []  # (pair offsets, states) of the arcs read by _read_arc_band
+        templates = []  # (columns, states, indices of the rows that copy it)
+        prev = -1  # the index of the last row read
+        parts = None  # the template's text split on its key, if pos starts a row
+        copied = 0  # characters of the rows copied since the last band
+        read = window = _BAND  # the last band's length or more, the next band's at most
+        # whether a block of equal rows may start at pos: after copies, or at
+        # the first row of a document longer than a band if the row after it
+        # starts within _FIRST_WINDOW and is equal
+        block = False
+        u = _row_at(text, pos, -1, m) if close - pos > _BAND else -1
+        after = text.find(f",{_KEY}{u + 1},", pos, pos + _FIRST_WINDOW) if u >= 0 else -1
+        if after > 0:  # the first row, with the second row's key
+            second = f"{_KEY}{u + 1},".join(text[pos:after].split(f"{_KEY}{u},"))
+            if text.startswith(second, after + 1):
+                window, block = after + 2 - pos, True
+        while pos < close:
+            if parts is not None:
+                u = _row_at(text, pos, prev, m)
+                if u >= 0:
+                    key = f"{_KEY}{u},"
+                    row = key.join(parts)
+                    end = pos + len(row)
+                    # the row ends where the template does: at "]" or before an arc of another row
+                    if text.startswith(row, pos) and (
+                        end == close or text.startswith(",{", end) and not text.startswith(key, end + 1)
+                    ):
+                        templates[-1][2].append(u)
+                        pos, prev, copied, block = min(end + 1, close), u, copied + len(row) + 1, True
+                        if copied >= read:  # blocks are long: read a new one's first row alone
+                            window = 2 * len(row)
+                        continue
+            if close - pos <= window:
+                band, cut = text[pos:close] + ",", close
             else:
-                band, start = text[start:close] + ",", close
+                # a band ends after the "}," of an arc, the next starts at its "{"
+                cut = text.rfind("},{", pos, pos + window) + 2
+                if cut < 2:
+                    if window >= _BAND:
+                        return None
+                    window = min(2 * window, _BAND)
+                    continue
+                band = text[pos:cut]
             arcs = _read_arc_band(band, m, n)
             if arcs is None:
                 return None
-            bands.append(arcs)
+            rows, offsets, states, at = arcs
+            prev, parts, copied = int(rows[-1]), None, 0
+            read, window = max(len(band), _FIRST_WINDOW), _BAND
+            if cut < close:
+                # the band's last two whole rows are arcs [a0, a1) and [a1, b1);
+                # a0 == a1 if it has one, and a1 == b1 if it has none
+                bounds = [0, 0, 0, *(np.flatnonzero(rows[1:] != rows[:-1])[-3:] + 1).tolist()]
+                if not text.startswith(f"{_KEY}{prev},", cut):  # the band ends a row
+                    bounds.append(rows.size)
+                a0, a1, b1 = bounds[-3:]
+                u0, u1 = int(rows[a0]), int(rows[a1])
+                repeated = (
+                    a0 < a1
+                    and b1 - a1 == a1 - a0
+                    and states[a1:b1].tobytes() == states[a0:a1].tobytes()
+                    and (offsets[a0:a1] + (u1 - u0) * n).tobytes() == offsets[a1:b1].tobytes()
+                )
+                # a band that may start a block keeps its last whole row as the
+                # template even when no row before it is equal
+                if a1 < b1 and (repeated or block):
+                    if b1 < rows.size:
+                        cut = pos + int(at[b1]) - len(_KEY)
+                    row = text[pos + int(at[a1]) - len(_KEY) : cut - 1]
+                    parts = row.split(f"{_KEY}{u1},")
+                    offsets, states, prev = offsets[:b1], states[:b1], u1
+                    templates.append((offsets[a1:] - u1 * n, states[a1:], []))
+            bands.append((offsets, states))
+            pos, block = cut, False
+            # drop the views into this band's work arrays before the next band
+            # allocates its own, so that the allocator can reuse their memory
+            del arcs, rows, at
         cells = np.zeros(m * n, dtype=np.uint8)
-        for pos, states in bands:
-            cells[pos] = states
-        # a pair listed twice leaves fewer set cells than arcs
-        if np.count_nonzero(cells) != sum(pos.size for pos, _ in bands):
+        for offsets, states in bands:
+            cells[offsets] = states
+        listed = sum(offsets.size for offsets, _ in bands)
+        grid = cells.reshape(m, n)
+        for columns, states, rows in templates:
+            if rows:
+                row = np.zeros(n, dtype=np.uint8)
+                row[columns] = states
+                grid[rows] = row
+                listed += len(rows) * columns.size
+        # a pair listed twice, even in a row read as the template's copy,
+        # leaves fewer set cells than arcs
+        if np.count_nonzero(cells) != listed:
             return None
-        return cls.from_states(cells.reshape(m, n))
+        return cls.from_states(grid)
 
     @classmethod
     def _from_doc(cls, text: str) -> "BipartiteOrientedGraph":
@@ -379,10 +474,24 @@ def _is_json_tail(tail: str) -> bool:
     return True
 
 
-def _read_arc_band(band: str, m: int, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Pair offsets (u * n + v) and states of ``band``, whole arcs of
-    ``to_json``'s layout each followed by a comma; None unless every arc is
-    in that layout with in-range indices."""
+def _row_at(text: str, pos: int, prev: int, m: int) -> int:
+    """The index U of the arc at ``pos`` if its text starts ``{"u":U,``
+    with U in canonical decimal, above ``prev`` and below ``m``; else -1."""
+    if text.startswith(f"{_KEY}{prev + 1},", pos):  # the common case: the next row
+        return prev + 1 if prev + 1 < m else -1
+    start = pos + len(_KEY)
+    comma = text.find(",", start, start + _MAX_DIGITS + 1)
+    token = text[start:comma]
+    if comma < 0 or not (token.isascii() and token.isdigit()) or token != str(int(token)):
+        return -1
+    return int(token) if prev < int(token) < m else -1
+
+
+def _read_arc_band(band: str, m: int, n: int) -> tuple[np.ndarray, ...] | None:
+    """Row indices u, pair offsets u * n + v, states and the positions of
+    the u digits of the arcs of ``band``, whole arcs of ``to_json``'s
+    layout each followed by a comma; None unless every arc is in that
+    layout with in-range indices."""
     import numpy as np
 
     if not band.isascii():
@@ -415,7 +524,7 @@ def _read_arc_band(band: str, m: int, n: int) -> tuple[np.ndarray, np.ndarray] |
     if ((u >= m) | (v >= n)).any():
         return None
     states = np.frombuffer(skeleton, dtype=np.uint8)[_DIR :: len(_ARC)] - (_U - 1)
-    return (u * n + v).astype(np.int32), states
+    return u, (u * n + v).astype(np.int32), states, starts[0::2]
 
 
 def _node_line(prefix: str, index: int, label: str | None) -> str:

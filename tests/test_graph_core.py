@@ -7,10 +7,11 @@ import warnings
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import graphs, per_vertex_scores
 from scoresets import graph_core
+from scoresets.constructions import realize
 from scoresets.graph_core import (
     ArcState,
     BipartiteOrientedGraph,
@@ -321,7 +322,15 @@ def test_to_json_output_is_read_in_bands(monkeypatch):
             text = g.to_json(blocks=blocks)
             assert BipartiteOrientedGraph.from_json(text) == g
             assert BipartiteOrientedGraph.from_json(f" \n{text}\r\n\t") == g
-    assert len(full.to_json()) > 2 * graph_core._BAND
+    text = full.to_json()
+    assert len(text) > 2 * graph_core._BAND
+    # its rows alternate, so none is copied: the bands cover the arcs once,
+    # plus at most one row that a band read and then left to the next
+    graph, spans = fast_lane_read(text)
+    arcs = text[text.index("[") + 1 : text.index("]")]
+    row = len(arcs) // full.m + 1
+    assert graph == full
+    assert sum(end - start for start, end in spans) <= len(arcs) + len(spans) * row
 
 
 def test_band_without_an_arc_cut_goes_to_the_general_reader(monkeypatch):
@@ -342,6 +351,170 @@ def test_band_without_an_arc_cut_goes_to_the_general_reader(monkeypatch):
     )
     assert BipartiteOrientedGraph.from_json(text) == full
     assert read == [text]
+
+
+def fast_lane_read(text):
+    """``_from_bands(text)``, and the span of ``text`` that each band it
+    passed to ``_read_arc_band`` came from, in order."""
+    spans = []
+    read_band = graph_core._read_arc_band
+
+    def recording(band, m, n):
+        # a band starts after the start of the band before it and, but for
+        # the comma added to the last band, is a slice of the text
+        start = text.find(band[:-1], spans[-1][0] + 1 if spans else 0)
+        spans.append((start, start + len(band) - 1))
+        return read_band(band, m, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_core, "_read_arc_band", recording)
+        return BipartiteOrientedGraph._from_bands(text), spans
+
+
+def lane_cases(text, spans):
+    """The cases that reading ``text``, a document the fast lane accepted,
+    in bands from ``spans`` met: "copy" (a row that no band read),
+    "miss" (a band after such a row), "straddle" (a band that starts inside
+    a row) and "long row" (a row longer than ``_BAND``)."""
+    close = text.index("]")
+    arcs = [(found.start(), int(found[1])) for found in re.finditer(r'\{"u":(\d+),', text[:close])]
+    row_starts = [pos for k, (pos, u) in enumerate(arcs) if k == 0 or arcs[k - 1][1] != u]
+    read_rows = {u for pos, u in arcs if any(start <= pos < end for start, end in spans)}
+    copies = [pos for pos, u in arcs if u not in read_rows]
+    cases = set()
+    if copies:
+        cases.add("copy")
+        if any(start > copies[0] for start, _ in spans):
+            cases.add("miss")
+    if any(start not in row_starts for start, _ in spans):
+        cases.add("straddle")
+    if any(end - start > graph_core._BAND for start, end in zip(row_starts, row_starts[1:] + [close])):
+        cases.add("long row")
+    return cases
+
+
+def test_band_lane_agrees_with_general_reader_at_small_windows():
+    # a 64-character first window and 96-character bands: the fast lane
+    # copies rows, misses its template, starts bands inside rows and meets
+    # rows longer than a band, and still returns None or _from_doc's graph
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True)
+    @given(edited_documents())
+    def agrees(text):
+        expected = read_outcome(BipartiteOrientedGraph._from_doc, text)
+        assert read_outcome(BipartiteOrientedGraph.from_json, text) == expected
+        graph, spans = fast_lane_read(text)
+        assert graph is None or graph == expected
+        if graph is not None:
+            seen.update(lane_cases(text, spans))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_core, "_FIRST_WINDOW", 64)
+        patch.setattr(graph_core, "_BAND", 96)
+        agrees()
+    assert seen == {"copy", "miss", "straddle", "long row"}
+
+
+def arcs_doc(m, n, arcs):
+    """A document in ``to_json``'s layout but for its arcs: ``(u, v, dir)``
+    triples in order, ``u`` as its literal text."""
+    listed = ",".join(f'{{"u":{u},"v":{v},"dir":"{d}"}}' for u, v, d in arcs)
+    return f'{{"m":{m},"n":{n},"arcs":[{listed}]}}'
+
+
+def row_arcs(u, columns, d="uv"):
+    return [(u, v, d) for v in columns]
+
+
+# documents whose rows after a template, the last whole row read, are not
+# plain copies of it: the fast lane must not take them for copies
+_EQUAL_1 = [arc for u in range(4) for arc in row_arcs(u, [1])]
+_EQUAL_12 = [arc for u in range(4) for arc in row_arcs(u, [1, 2])]
+TEMPLATE_DOCUMENTS = {
+    # the template matches only a prefix of the row after it
+    "row extends the one before": arcs_doc(6, 4, _EQUAL_12 + row_arcs(4, [1, 2, 3])),
+    "row index repeated": arcs_doc(6, 4, _EQUAL_1 + row_arcs(3, [2])),
+    "row index decreasing": arcs_doc(6, 4, _EQUAL_12 + row_arcs(5, [1, 2]) + row_arcs(4, [1, 2])),
+    "row index at m": arcs_doc(5, 4, _EQUAL_1 + row_arcs(5, [1])),
+    "row index with a leading zero": arcs_doc(6, 4, _EQUAL_1 + row_arcs("04", [1])),
+    "row index in Arabic-Indic digits": arcs_doc(6, 4, _EQUAL_1 + row_arcs("\u0664", [1])),
+    "duplicate arc after a copied row": arcs_doc(6, 4, _EQUAL_12 + row_arcs(3, [2])),
+    "copied row listed again": arcs_doc(
+        8, 4, _EQUAL_1 + row_arcs(4, [1]) + row_arcs(5, [1]) + row_arcs(6, [0]) + row_arcs(4, [1])
+    ),
+    # valid JSON: the copy of row 4 must not hide its arc at column 3
+    "copied row with an arc listed later": arcs_doc(
+        8, 4, _EQUAL_1 + row_arcs(4, [1]) + row_arcs(5, [1]) + row_arcs(6, [0]) + row_arcs(4, [3])
+    ),
+}
+
+# the ones that the fast lane reads at every window: their rows come once each
+FAST_LANE_DOCUMENTS = {"row extends the one before", "row index decreasing"}
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_DOCUMENTS))
+def test_rows_after_a_template_agree_with_general_reader(name):
+    text = TEMPLATE_DOCUMENTS[name]
+    expected = read_outcome(BipartiteOrientedGraph._from_doc, text)
+    tried = []
+    row_at = graph_core._row_at
+    for first, band in [(16, 96), (32, 128), (64, 64), (256, 96), (graph_core._FIRST_WINDOW, graph_core._BAND)]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_core, "_FIRST_WINDOW", first)
+            patch.setattr(graph_core, "_BAND", band)
+            patch.setattr(graph_core, "_row_at", lambda *args: tried.append(args) or row_at(*args))
+            graph = BipartiteOrientedGraph._from_bands(text)
+            assert graph == expected or graph is None and name not in FAST_LANE_DOCUMENTS
+            assert read_outcome(BipartiteOrientedGraph.from_json, text) == expected
+    assert tried  # some window had a template to try
+
+
+def test_uncut_text_after_copied_rows_goes_to_the_general_reader(monkeypatch):
+    # 40 equal rows, then arcs joined by "}, {": the template misses there,
+    # and a window that holds no "},{" cut widens until it is a band
+    g = graph_of([[1] * 120] * 130)
+    text = g.to_json()
+    stretch = text.index('{"u":40,')
+    text = text[:stretch] + text[stretch:].replace("},{", "}, {")
+    assert len(text) - stretch > graph_core._BAND
+    bands, tries = [], []
+    read_band, row_at = graph_core._read_arc_band, graph_core._row_at
+
+    def recording(band, m, n):
+        assert "}, {" not in band, "a band was read without a cut"
+        bands.append(band)
+        return read_band(band, m, n)
+
+    def counting(*args):
+        tries.append(args)
+        assert len(tries) < 200, "the template was tried again and again"
+        return row_at(*args)
+
+    monkeypatch.setattr(graph_core, "_read_arc_band", recording)
+    monkeypatch.setattr(graph_core, "_row_at", counting)
+    assert BipartiteOrientedGraph._from_bands(text) is None
+    assert bands and len(tries) > 30  # rows were read as copies before the stretch
+    assert BipartiteOrientedGraph.from_json(text) == BipartiteOrientedGraph._from_doc(text) == g
+
+
+def test_repeated_rows_skip_the_band_reader():
+    # {5,15,45,135,405}: 305x305 in five blocks of equal rows
+    text = realize(ScoreSet((5, 15, 45, 135, 405))).to_json()
+    graph, spans = fast_lane_read(text)
+    assert graph == BipartiteOrientedGraph._from_doc(text)
+    assert sum(end - start for start, end in spans) < 0.1 * len(text)
+
+
+def test_short_blocks_are_read_in_whole_bands():
+    # 3000 rows of 10 columns, each row repeated 8 times: copying a block saves
+    # less than a band call costs, so the text still goes in whole bands
+    rng = np.random.default_rng(1)
+    g = graph_of(np.repeat(rng.integers(0, 3, size=(375, 10)), 8, axis=0))
+    text = g.to_json()
+    graph, spans = fast_lane_read(text)
+    assert graph == g
+    assert len(spans) <= len(text) // graph_core._BAND + 2
 
 
 def reference_arcs(g):
