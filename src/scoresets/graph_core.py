@@ -114,7 +114,9 @@ class ScoreSet(namedtuple("ScoreSet", "values")):
 
 # the labeled vertex ranges [start, stop) of each part, which the exports print
 Spans = tuple[Sequence[tuple[str, int, int]], Sequence[tuple[str, int, int]]]
-# indexed by ArcState: the pair's net share of its U-vertex's score
+# indexed by ArcState: the pair's net share of its U-vertex's score, read by
+# the layout scorer in constructions and the oracle's line tables; scores()
+# computes the same values by arithmetic on the state matrix
 _NET = (0, 1, -1)
 _DIR_STATES = {"uv": 1, "vu": 2}
 # indexed by ArcState: an arc's JSON and DOT text from its v index, NUL for
@@ -210,11 +212,17 @@ class BipartiteOrientedGraph:
         """U-scores and V-scores, each in vertex order."""
         import numpy as np
 
-        m, n = self.m, self.n
-        net = np.array(_NET, dtype=np.int8)[self.states]
+        m, n, states = self.m, self.n, self.states
+        # _NET by arithmetic in one uint8 temporary: s - 3 * (s >> 1) is 0, 1
+        # and 255, which int8 reads as -1; the dense limit keeps every part at
+        # or below 2**28 vertices, so int32 sums and scores cannot overflow
+        net = states >> 1
+        net *= 3
+        np.subtract(states, net, out=net)
+        net = net.view(np.int8)
         return (
-            (n + net.sum(axis=1, dtype=np.int64)).tolist(),
-            (m - net.sum(axis=0, dtype=np.int64)).tolist(),
+            (n + net.sum(axis=1, dtype=np.int32)).tolist(),
+            (m - net.sum(axis=0, dtype=np.int32)).tolist(),
         )
 
     def score_sequences(self) -> ScoreSequencePair:

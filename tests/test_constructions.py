@@ -562,19 +562,22 @@ def test_export_cannot_drift_from_its_layout():
 def test_graph_catches_a_fill_that_disagrees_with_the_layout(monkeypatch):
     from_states = BipartiteOrientedGraph.from_states
 
-    def flipped(cls, states):  # the layout's matrix with pair (0, 0) flipped
+    def flipped(cls, states):  # the layout's matrix with its pair `corner` flipped
         states = states.copy()
-        states[0, 0] = ArcState.V_TO_U if states[0, 0] == ArcState.U_TO_V else ArcState.U_TO_V
+        states[corner] = ArcState.V_TO_U if states[corner] == ArcState.U_TO_V else ArcState.U_TO_V
         return from_states(states)
 
     monkeypatch.setattr(BipartiteOrientedGraph, "from_states", classmethod(flipped))
-    r = build(Family("Singleton", (2,)))
-    r.verify()  # the layout itself is sound
-    with pytest.raises(RealizationError):
-        r.graph
-    for fmt in ("json", "dot"):
-        with pytest.raises(RealizationError):  # when asked for, before any piece
-            r.texts(fmt)
+    # the first pair of a 2x2 graph, and the last pair of a 305x305 block
+    # graph, which a mis-strided or partial sum would miss
+    far = realize(ScoreSet((5, 15, 45, 135, 405)))
+    for r, corner in ((build(Family("Singleton", (2,))), (0, 0)), (far, (-1, -1))):
+        r.verify()  # the layout itself is sound
+        with pytest.raises(RealizationError):
+            r.graph
+        for fmt in ("json", "dot"):
+            with pytest.raises(RealizationError):  # when asked for, before any piece
+                r.texts(fmt)
 
 
 # ---------------------------------------------------------- golden output

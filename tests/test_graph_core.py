@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import re
+import tracemalloc
 import warnings
 
 import hypothesis.strategies as st
@@ -109,12 +110,40 @@ def test_scores_on_empty_graph():
 
 
 @pytest.mark.parametrize(
-    "state,u_score,v_score", [(ArcState.U_TO_V, 600, 0), (ArcState.V_TO_U, 0, 600)]
+    "m,n,state,u_score,v_score",
+    [
+        (300, 300, ArcState.U_TO_V, 600, 0),
+        (300, 300, ArcState.V_TO_U, 0, 600),
+        (1, 40000, ArcState.U_TO_V, 80000, 0),
+        (40000, 1, ArcState.V_TO_U, 0, 80000),
+    ],
 )
-def test_scores_of_complete_300x300(state, u_score, v_score):
-    # 300 arcs per vertex overflow an 8-bit accumulator
-    g = BipartiteOrientedGraph.from_states(np.full((300, 300), state, dtype=np.uint8))
-    assert g.scores() == ([u_score] * 300, [v_score] * 300)
+def test_scores_of_complete_graphs(m, n, state, u_score, v_score):
+    # 300 arcs per vertex overflow an 8-bit accumulator, 40000 a 16-bit one
+    g = BipartiteOrientedGraph.from_states(np.full((m, n), state, dtype=np.uint8))
+    assert g.scores() == ([u_score] * m, [v_score] * n)
+
+
+@pytest.mark.parametrize("m,n", [(1, 257), (257, 1), (37, 53), (53, 37), (300, 200)])
+def test_scores_of_random_states_past_the_strategy_cap(m, n):
+    states = np.random.default_rng(m * n).integers(0, 3, (m, n), dtype=np.uint8)
+    g = BipartiteOrientedGraph.from_states(states)
+    assert g.scores() == per_vertex_scores(g)
+
+
+def test_scores_allocate_one_byte_per_pair():
+    # one m x n temporary of uint8: numpy's buffers are traced, the state
+    # matrix is built before tracing starts
+    m, n = 2000, 1500
+    states = np.random.default_rng(2).integers(0, 3, (m, n), dtype=np.uint8)
+    g = BipartiteOrientedGraph.from_states(states)
+    tracemalloc.start()
+    try:
+        g.scores()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * m * n, f"peak {peak / (m * n):.2f} bytes per pair"
 
 
 def test_score_sequences_trivial():
